@@ -2,28 +2,22 @@
 // as the equivalence oracle inside the optimizer's inner loop.
 //
 // Reports cycles/second on the named designs (synth::all_designs() plus
-// the bench-only change-sparse "guarded_branch") for every engine:
-//   * BM_simulate/<design>           — compiled-plan engine, persistent
+// the bench-only change-sparse "guarded_branch") for both engines:
+//   * BM_simulate/<design>           — the plan engine, persistent
 //     Simulator (steady-state: plans compiled once, then replayed);
-//   * BM_simulate_sparse/<design>    — change-propagation wavefront
-//     engine (kSparse), persistent Simulator;
 //   * BM_simulate_reference/<design> — the naive per-cycle baseline;
-//   * BM_simulate_cold/<design>      — compiled engine with a fresh
+//   * BM_simulate_cold/<design>      — the plan engine with a fresh
 //     Simulator per run (plan compilation on the critical path);
-//   * BM_simulate_batch/<design>     — simulate_batch over 16 seeds;
-//   * BM_simulate_lanes/<design>     — the same 16 seeds through the
-//     SoA lane engine, 8 lanes per block, single-threaded.
+//   * BM_simulate_batch/<design>     — simulate_batch over 16 seeds.
 //
-// Expected shape: compiled beats reference by well over 2x everywhere;
-// sparse beats compiled on change-sparse designs (stable cones, bursty
-// inputs) and must stay within 10% of compiled on the dense ones — the
-// JSON emitter *fails* (nonzero exit, so CI fails) if a dense design
-// regresses beyond that.
+// Expected shape: the plan engine beats reference by well over 2x
+// everywhere — the JSON emitter *fails* (nonzero exit, so CI fails) if
+// any design falls below 2x.
 //
 // Pass --json[=PATH] (default BENCH_sim.json) to additionally emit a
-// machine-readable record per design (cycles/s per engine, speedups,
-// sparse activity factor, lane-batch throughput) so the perf trajectory
-// is tracked across PRs (see docs/PERF.md).
+// machine-readable record per design (cycles/s per engine, speedup,
+// activity factor, batch throughput) so the perf trajectory is tracked
+// across changes (see docs/PERF.md).
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +28,6 @@
 
 #include "json_out.h"
 #include "sim/batch.h"
-#include "sim/lanes.h"
 #include "sim/simulator.h"
 #include "synth/compile.h"
 #include "synth/designs.h"
@@ -52,7 +45,6 @@ void print_table(const std::vector<bench::BenchDesign>& designs) {
     sim::Environment env = bench::fixed_environment(d.system, d.name);
     sim::SimOptions options;
     options.record_cycles = false;
-    options.engine = sim::SimEngine::kSparse;
     sim::Simulator simulator(d.system);
     simulator.run(env, options);  // warm: snapshots populated
     env.rewind();
@@ -64,17 +56,15 @@ void print_table(const std::vector<bench::BenchDesign>& designs) {
                    format_double(result.stats.activity_factor(), 2)});
   }
   std::cout << "E6: simulated designs (fixed environments; activity = "
-               "steady-state sparse-engine eval fraction)\n"
+               "steady-state plan-engine eval fraction)\n"
             << table.to_string() << '\n';
 }
 
-void BM_simulate_engine(benchmark::State& state,
-                        const bench::BenchDesign* d, sim::SimEngine engine) {
+void BM_simulate(benchmark::State& state, const bench::BenchDesign* d) {
   sim::Simulator simulator(d->system);
   sim::Environment env = bench::fixed_environment(d->system, d->name);
   sim::SimOptions options;
   options.record_cycles = false;
-  options.engine = engine;
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     env.rewind();
@@ -119,19 +109,6 @@ void BM_simulate_batch(benchmark::State& state, const bench::BenchDesign* d) {
   for (auto _ : state) {
     const auto results =
         sim::simulate_batch_seeds(d->system, 1, 16, 64, options, 0, 1, 20);
-    for (const sim::SimResult& r : results) cycles += r.cycles;
-  }
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-
-void BM_simulate_lanes(benchmark::State& state, const bench::BenchDesign* d) {
-  sim::SimOptions options;
-  options.record_cycles = false;
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    const auto results = sim::simulate_batch_seeds_lanes(
-        d->system, 1, 16, 64, /*lanes=*/8, options, /*threads=*/1, 1, 20);
     for (const sim::SimResult& r : results) cycles += r.cycles;
   }
   state.counters["cycles/s"] = benchmark::Counter(
@@ -190,33 +167,25 @@ double measure_cycles_per_second(const dcf::System& sys,
   return static_cast<double>(cycles) / elapsed();
 }
 
-/// Steady-state sparse-run stats (one warmed run), for the activity
+/// Steady-state plan-engine stats (one warmed run), for the activity
 /// factor the JSON records per design.
-sim::SimStats steady_sparse_stats(const dcf::System& sys,
-                                  const std::string& name) {
+sim::SimStats steady_stats(const dcf::System& sys, const std::string& name) {
   sim::Environment env = bench::fixed_environment(sys, name);
   sim::SimOptions options;
   options.record_cycles = false;
-  options.engine = sim::SimEngine::kSparse;
   sim::Simulator simulator(sys);
   simulator.run(env, options);
   env.rewind();
   return simulator.run(env, options).stats;
 }
 
-/// Lane-batch throughput: total cycles/second of a 16-seed sweep through
-/// simulate_batch_seeds_lanes (8 lanes per block) or, with lanes == 1,
-/// the per-run simulate_batch baseline. Single-threaded so the ratio
-/// isolates the SoA-lockstep effect from parallelism.
-double measure_batch_cycles_per_second(const dcf::System& sys,
-                                       std::size_t lanes) {
+/// Batch throughput: total cycles/second of a 16-seed simulate_batch
+/// sweep, single-threaded so it measures the engine, not parallelism.
+double measure_batch_cycles_per_second(const dcf::System& sys) {
   sim::SimOptions options;
   options.record_cycles = false;
   auto sweep = [&] {
-    return lanes > 1
-               ? sim::simulate_batch_seeds_lanes(sys, 1, 16, 64, lanes,
-                                                 options, 1, 1, 20)
-               : sim::simulate_batch_seeds(sys, 1, 16, 64, options, 1, 1, 20);
+    return sim::simulate_batch_seeds(sys, 1, 16, 64, options, 1, 1, 20);
   };
   sweep();  // warm-up (allocator, page faults)
 
@@ -232,65 +201,44 @@ double measure_batch_cycles_per_second(const dcf::System& sys,
   return static_cast<double>(cycles) / elapsed();
 }
 
-/// Designs where most of the schedule genuinely changes every cycle;
-/// the sparse engine must stay within 10% of compiled on these (the
-/// wavefront bookkeeping is its only overhead). The change-sparse
-/// designs (traffic, guarded_branch) are where it must win instead.
-bool is_dense_design(const std::string& name) {
-  return name != "traffic" && name != "guarded_branch";
-}
-
-/// Emits BENCH_sim.json: per-design steady-state cycles/s for every
-/// engine, speedups, sparse activity factor and lane-batch throughput.
-/// Returns false if the file cannot be written OR if the sparse engine
-/// regresses a dense design by more than 10% vs compiled (CI runs the
-/// bench with --json and fails on nonzero exit).
+/// Emits BENCH_sim.json: per-design steady-state cycles/s for both
+/// engines, speedup, activity factor and batch throughput. Returns false
+/// if the file cannot be written OR if the plan engine falls below 2x
+/// reference on any design (CI runs the bench with --json and fails on
+/// nonzero exit).
 bool emit_json(const std::string& path,
                const std::vector<bench::BenchDesign>& designs) {
   bench::BenchJson json(path, "sim", "cycles_per_second");
-  bool dense_regression = false;
+  bool below_floor = false;
   for (const bench::BenchDesign& d : designs) {
     const double compiled =
         measure_cycles_per_second(d.system, d.name, sim::SimEngine::kCompiled);
     const double reference = measure_cycles_per_second(
         d.system, d.name, sim::SimEngine::kReference);
-    const double sparse =
-        measure_cycles_per_second(d.system, d.name, sim::SimEngine::kSparse);
-    const sim::SimStats sparse_stats = steady_sparse_stats(d.system, d.name);
-    const double batch = measure_batch_cycles_per_second(d.system, 1);
-    const double laned = measure_batch_cycles_per_second(d.system, 8);
+    const sim::SimStats stats = steady_stats(d.system, d.name);
+    const double batch = measure_batch_cycles_per_second(d.system);
     json.begin_design(d.name)
         .field("cycles_per_second", static_cast<std::uint64_t>(compiled))
         .field("reference_cycles_per_second",
                static_cast<std::uint64_t>(reference))
-        .field("sparse_cycles_per_second",
-               static_cast<std::uint64_t>(sparse))
         .field("speedup", bench::rounded(compiled / reference, 2))
-        .field("sparse_speedup_vs_compiled",
-               bench::rounded(sparse / compiled, 2))
-        .field("activity_factor",
-               bench::rounded(sparse_stats.activity_factor(), 4))
+        .field("activity_factor", bench::rounded(stats.activity_factor(), 4))
         .field("batch_cycles_per_second", static_cast<std::uint64_t>(batch))
-        .field("lane_batch_cycles_per_second",
-               static_cast<std::uint64_t>(laned))
-        .field("lane_speedup", bench::rounded(laned / batch, 2))
         .end_design();
     std::cout << "BENCH_sim " << d.name << ": "
               << static_cast<std::uint64_t>(compiled) << " cycles/s ("
-              << format_double(compiled / reference, 2) << "x reference); "
-              << "sparse " << static_cast<std::uint64_t>(sparse) << " ("
-              << format_double(sparse / compiled, 2) << "x compiled, activity "
-              << format_double(sparse_stats.activity_factor(), 2) << "); "
-              << "lanes@8 " << static_cast<std::uint64_t>(laned) << " ("
-              << format_double(laned / batch, 2) << "x batch)\n";
-    if (is_dense_design(d.name) && sparse < 0.9 * compiled) {
-      std::cerr << "BENCH_sim REGRESSION: sparse engine at "
-                << format_double(sparse / compiled, 2) << "x compiled on "
-                << "dense design '" << d.name << "' (floor: 0.9x)\n";
-      dense_regression = true;
+              << format_double(compiled / reference, 2)
+              << "x reference, activity "
+              << format_double(stats.activity_factor(), 2) << "); batch "
+              << static_cast<std::uint64_t>(batch) << '\n';
+    if (compiled < 2.0 * reference) {
+      std::cerr << "BENCH_sim REGRESSION: plan engine at "
+                << format_double(compiled / reference, 2)
+                << "x reference on '" << d.name << "' (floor: 2x)\n";
+      below_floor = true;
     }
   }
-  return json.finish() && !dense_regression;
+  return json.finish() && !below_floor;
 }
 
 }  // namespace
@@ -306,19 +254,13 @@ int main(int argc, char** argv) {
   }
   for (const bench::BenchDesign& d : designs) {
     benchmark::RegisterBenchmark(("BM_simulate/" + d.name).c_str(),
-                                 BM_simulate_engine, &d,
-                                 sim::SimEngine::kCompiled);
-    benchmark::RegisterBenchmark(("BM_simulate_sparse/" + d.name).c_str(),
-                                 BM_simulate_engine, &d,
-                                 sim::SimEngine::kSparse);
+                                 BM_simulate, &d);
     benchmark::RegisterBenchmark(("BM_simulate_reference/" + d.name).c_str(),
                                  BM_simulate_reference, &d);
     benchmark::RegisterBenchmark(("BM_simulate_cold/" + d.name).c_str(),
                                  BM_simulate_cold, &d);
     benchmark::RegisterBenchmark(("BM_simulate_batch/" + d.name).c_str(),
                                  BM_simulate_batch, &d);
-    benchmark::RegisterBenchmark(("BM_simulate_lanes/" + d.name).c_str(),
-                                 BM_simulate_lanes, &d);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -13,9 +13,9 @@ namespace {
 // the loop-invariant input `s`, so its (large, ~480-op) cone is
 // byte-identical on every iteration after the first — only the trip
 // counter and the accumulator actually change. This is the change-sparse
-// workload shape the kSparse engine exists for; the expression is
-// generated wide enough that evaluating it dominates the compiled
-// engine's per-iteration cost.
+// workload shape the plan engine's change propagation exists for; the
+// expression is generated wide enough that evaluating it would dominate
+// a full per-iteration sweep.
 std::string guarded_branch_source() {
   std::ostringstream os;
   os << "design guarded_branch {\n"
@@ -74,7 +74,7 @@ sim::Environment fixed_environment(const dcf::System& system,
   } else if (design_name == "traffic") {
     // Bursty sensor: long constant runs (a queue of cars, then an empty
     // road), so consecutive polls usually see the same value — the
-    // change-sparse shape the kSparse engine targets.
+    // change-sparse shape change propagation targets.
     std::vector<std::int64_t> sensor;
     for (int i = 0; i < 12; ++i) sensor.push_back(i < 6 ? 80 : 10);
     stream("sensor", sensor);

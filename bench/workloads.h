@@ -36,7 +36,7 @@ struct BenchDesign {
 /// The simulator benchmark corpus: every synth::all_designs() entry plus
 /// bench-only designs that stress specific engine paths (currently
 /// "guarded_branch", a guarded loop whose untaken-branch cone is large
-/// but temporally stable — the sparse engine's target shape).
+/// but temporally stable — change propagation's target shape).
 std::vector<BenchDesign> bench_designs();
 
 struct RandomProgramOptions {

@@ -17,9 +17,7 @@
 #include "obs/trace.h"
 #include "semantics/analysis.h"
 #include "semantics/equivalence.h"
-#include "sim/batch.h"
 #include "sim/environment.h"
-#include "sim/lanes.h"
 #include "sim/simulator.h"
 #include "synth/ast.h"
 #include "synth/compile.h"
@@ -80,19 +78,16 @@ std::string compare_results(const sim::SimResult& ref,
   return {};
 }
 
-/// All plan-based engines must be bit-identical to kReference under
-/// every policy: kCompiled, kSparse (change-propagation wavefronts) and
-/// the lockstep lane engine. The battery only reaches this stage on
-/// properly-designed systems (the "check" stage runs first), so the
-/// improper-design carve-out — where divergence is tolerated — is
-/// exercised by the dedicated unit tests, not by the sweep.
+/// The plan engine must be bit-identical to kReference under every
+/// policy. The battery only reaches this stage on properly-designed
+/// systems (the "check" stage runs first), so the improper-design
+/// carve-out — where divergence is tolerated — is exercised by the
+/// dedicated unit tests, not by the sweep.
 void engine_differential(const dcf::System& system, std::uint64_t seed,
                          const OracleOptions& opt) {
   const obs::ObsSpan span("oracle.engines");
   const sim::FiringPolicy policies[] = {sim::FiringPolicy::kMaximalStep,
                                         sim::FiringPolicy::kRandomOrder};
-  std::vector<sim::BatchRun> lane_runs;
-  std::vector<sim::SimResult> lane_oracle;
   for (std::size_t e = 0; e < opt.environments; ++e) {
     for (const sim::FiringPolicy policy : policies) {
       sim::Environment env = sim::Environment::random_for(
@@ -103,40 +98,19 @@ void engine_differential(const dcf::System& system, std::uint64_t seed,
       so.seed = seed + e;
       so.record_registers = true;
 
-      lane_runs.push_back(sim::BatchRun{env, so});
-
       so.engine = sim::SimEngine::kReference;
       const sim::SimResult ref = sim::simulate(system, env, so);
       env.rewind();
       so.engine = sim::SimEngine::kCompiled;
-      sim::SimResult com = sim::simulate(system, env, so);
-      env.rewind();
-      so.engine = sim::SimEngine::kSparse;
-      const sim::SimResult sparse = sim::simulate(system, env, so);
+      const sim::SimResult com = sim::simulate(system, env, so);
 
-      const std::string label = "env " + std::to_string(e) + " policy " +
-                                std::to_string(static_cast<int>(policy));
-      std::string diff = compare_results(ref, com);
+      const std::string diff = compare_results(ref, com);
       if (!diff.empty()) {
-        throw StageFailure{"engines", label + ": " + diff};
+        throw StageFailure{"engines",
+                           "env " + std::to_string(e) + " policy " +
+                               std::to_string(static_cast<int>(policy)) +
+                               ": " + diff};
       }
-      diff = compare_results(ref, sparse);
-      if (!diff.empty()) {
-        throw StageFailure{"engines", label + " [sparse]: " + diff};
-      }
-      lane_oracle.push_back(std::move(com));
-    }
-  }
-
-  // Lane crosscheck: all (environment, policy) runs packed into one
-  // lockstep block must reproduce the sequential results positionally.
-  const std::vector<sim::SimResult> laned =
-      sim::simulate_lanes(system, lane_runs);
-  for (std::size_t i = 0; i < laned.size(); ++i) {
-    const std::string diff = compare_results(lane_oracle[i], laned[i]);
-    if (!diff.empty()) {
-      throw StageFailure{"engines",
-                         "lane " + std::to_string(i) + ": " + diff};
     }
   }
 }

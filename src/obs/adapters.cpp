@@ -44,9 +44,6 @@ void publish_sim_stats(MetricsRegistry& registry, const sim::SimStats& stats,
                    stats.wavefront_hist[b]);
     }
   }
-  if (stats.lanes > 0) {
-    registry.set(joined(prefix, "lanes"), static_cast<double>(stats.lanes));
-  }
 }
 
 void publish_mc_stats(MetricsRegistry& registry, const mc::McResult& result,

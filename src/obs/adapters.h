@@ -16,11 +16,10 @@
 namespace camad::obs {
 
 /// <prefix>.plan_cache.{hits,misses,evictions} counters and
-/// <prefix>.plan_cache.{size,bytes} gauges. Sparse-engine runs
+/// <prefix>.plan_cache.{size,bytes} gauges. Plan-engine runs
 /// additionally get <prefix>.steps.{evaluated,skipped} counters, an
 /// <prefix>.activity_factor gauge and per-bucket
-/// <prefix>.wavefront.bucket_<b> counters; lane runs get a
-/// <prefix>.lanes gauge.
+/// <prefix>.wavefront.bucket_<b> counters.
 void publish_sim_stats(MetricsRegistry& registry, const sim::SimStats& stats,
                        std::string_view prefix = "sim");
 

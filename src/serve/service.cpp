@@ -338,7 +338,7 @@ std::string Service::do_simulate(WorkerState& state, Job& job) {
     const auto engine = sim::engine_from_name(e->string);
     if (!engine.has_value()) {
       bad_request("unknown engine '" + e->string +
-                  "' (expected compiled, reference or sparse)");
+                  "' (expected compiled or reference)");
     }
     options.engine = *engine;
   }

@@ -1,13 +1,11 @@
 #include "sim/batch.h"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
 
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "sim/lanes.h"
 
 namespace camad::sim {
 
@@ -81,43 +79,6 @@ std::vector<SimResult> simulate_batch(const dcf::System& system,
   return results;
 }
 
-std::vector<SimResult> simulate_batch_lanes(const dcf::System& system,
-                                            std::vector<BatchRun>& runs,
-                                            std::size_t lanes,
-                                            std::size_t threads) {
-  std::vector<SimResult> results(runs.size());
-  if (runs.empty()) return results;
-  if (lanes == 0) lanes = 1;
-
-  // Consecutive runs form one lockstep block; blocks are the parallel
-  // unit. One LaneEngine per worker, so plans are shared across every
-  // block that worker executes (and across all lanes within a block).
-  const std::size_t blocks = (runs.size() + lanes - 1) / lanes;
-  const std::size_t workers = resolve_worker_count(blocks, threads);
-  std::vector<std::unique_ptr<LaneEngine>> engines(workers);
-  parallel_jobs(blocks, workers, [&](std::size_t w, std::size_t b) {
-    if (engines[w] == nullptr) {
-      engines[w] = std::make_unique<LaneEngine>(system);
-    }
-    const std::size_t begin = b * lanes;
-    const std::size_t end = std::min(begin + lanes, runs.size());
-    std::vector<BatchRun> block(
-        std::make_move_iterator(runs.begin() + static_cast<std::ptrdiff_t>(begin)),
-        std::make_move_iterator(runs.begin() + static_cast<std::ptrdiff_t>(end)));
-    std::vector<SimResult> block_results = engines[w]->run(block);
-    for (std::size_t i = begin; i < end; ++i) {
-      runs[i] = std::move(block[i - begin]);
-      results[i] = std::move(block_results[i - begin]);
-    }
-    if (obs::progress_enabled()) {
-      obs::ProgressCounters& pc = obs::progress();
-      pc.sim_seeds.fetch_add(end - begin, std::memory_order_relaxed);
-      pc.sim_updates.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  return results;
-}
-
 std::vector<SimResult> simulate_batch_seeds(const dcf::System& system,
                                             std::uint64_t base_seed,
                                             std::size_t count,
@@ -138,24 +99,6 @@ std::vector<SimResult> simulate_batch_seeds(const dcf::System& system,
     runs.push_back(std::move(run));
   }
   return simulate_batch(system, runs, threads);
-}
-
-std::vector<SimResult> simulate_batch_seeds_lanes(
-    const dcf::System& system, std::uint64_t base_seed, std::size_t count,
-    std::size_t stream_length, std::size_t lanes, const SimOptions& options,
-    std::size_t threads, std::int64_t value_lo, std::int64_t value_hi) {
-  std::vector<BatchRun> runs;
-  runs.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint64_t seed = base_seed + k;
-    BatchRun run;
-    run.environment = Environment::random_for(system, seed, stream_length,
-                                              value_lo, value_hi);
-    run.options = options;
-    run.options.seed = seed;
-    runs.push_back(std::move(run));
-  }
-  return simulate_batch_lanes(system, runs, lanes, threads);
 }
 
 }  // namespace camad::sim

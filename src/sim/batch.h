@@ -54,17 +54,6 @@ std::vector<SimResult> simulate_batch(const dcf::System& system,
                                       std::vector<BatchRun>& runs,
                                       std::size_t threads = 0);
 
-/// Lane-mode batch: consecutive runs are packed into lockstep blocks of
-/// `lanes` executed by the SoA lane engine (see sim/lanes.h); blocks are
-/// spread over `threads` workers, each owning one LaneEngine so plans
-/// are shared across its blocks. Results are positionally aligned and
-/// bit-identical to simulate_batch with the same runs, whatever the lane
-/// or thread count.
-std::vector<SimResult> simulate_batch_lanes(const dcf::System& system,
-                                            std::vector<BatchRun>& runs,
-                                            std::size_t lanes,
-                                            std::size_t threads = 0);
-
 /// Convenience sweep: `count` runs with Environment::random_for seeds
 /// base_seed, base_seed+1, ... (the per-run SimOptions::seed is offset the
 /// same way so the random firing policies decorrelate too).
@@ -73,13 +62,5 @@ std::vector<SimResult> simulate_batch_seeds(
     std::size_t stream_length, const SimOptions& options = {},
     std::size_t threads = 0, std::int64_t value_lo = 0,
     std::int64_t value_hi = 99);
-
-/// simulate_batch_seeds, lane-mode: same seed layout, executed via
-/// simulate_batch_lanes.
-std::vector<SimResult> simulate_batch_seeds_lanes(
-    const dcf::System& system, std::uint64_t base_seed, std::size_t count,
-    std::size_t stream_length, std::size_t lanes,
-    const SimOptions& options = {}, std::size_t threads = 0,
-    std::int64_t value_lo = 0, std::int64_t value_hi = 99);
 
 }  // namespace camad::sim

@@ -209,7 +209,6 @@ ConfigPlan compile_plan(const dcf::System& system,
       }
     }
     plan.schedule.push_back(step);
-    plan.written.push_back(p.value());
   }
   return plan;
 }
@@ -318,7 +317,6 @@ std::size_t ConfigPlan::approx_bytes() const {
   bytes += bitset_bytes(arc_active);
   bytes += controller.capacity() * sizeof(petri::PlaceId);
   bytes += schedule.capacity() * sizeof(EvalStep);
-  bytes += written.capacity() * sizeof(std::uint32_t);
   for (const std::string& conflict : drive_conflicts) {
     bytes += conflict.capacity();
   }

@@ -69,14 +69,16 @@ struct ConflictCheck {
   std::vector<petri::TransitionId> candidates;
 };
 
-/// Change-propagation metadata and memoized cone values for the sparse
-/// engine (SimEngine::kSparse). A plan's cone values are a pure function
-/// of its leaf inputs — register state, environment stream heads and
-/// constants — so the engine snapshots them after each execution of the
-/// plan and, on re-entry, re-evaluates only the steps downstream of a
-/// leaf whose input actually changed. Unused (empty) under the other
-/// engines; lives inside the plan so the LRU cap bounds it too.
+/// Change-propagation metadata and memoized cone values. A plan's cone
+/// values are a pure function of its leaf inputs — register state,
+/// environment stream heads and constants — so the engine snapshots them
+/// after each execution of the plan and, on re-entry, re-evaluates only
+/// the steps downstream of a leaf whose input actually changed. Lives
+/// inside the plan so the LRU cap bounds it too.
 struct SparseState {
+  /// The topology (leaf_steps + dependency CSR) is built the first time
+  /// the plan takes the wavefront path; plans that only ever run cold or
+  /// as a dense sweep never build it.
   bool topology_built = false;
   /// Schedule indices of kReg / kInput steps (the only steps whose value
   /// can change while the marking support stays fixed).
@@ -92,11 +94,11 @@ struct SparseState {
   /// Engine epoch at which `values` was last brought up to date; compared
   /// against per-register change stamps to seed the wavefront.
   std::uint64_t snap_epoch = 0;
-  /// Change-extent of the plan's previous execution (wavefront size in
-  /// sparse mode, changed-step count in dense mode). Drives the adaptive
-  /// mode switch: when most of the schedule changed last time, the next
-  /// execution runs a straight linear sweep instead of paying the
-  /// worklist bookkeeping for no skips.
+  /// Change-extent of the plan's previous execution (wavefront size on
+  /// the wavefront path, changed-step count in a dense sweep). Drives the
+  /// adaptive mode switch: when most of the schedule changed last time,
+  /// the next execution runs a straight linear sweep instead of paying
+  /// the worklist bookkeeping for no skips.
   std::uint32_t last_wavefront = 0;
 };
 
@@ -107,7 +109,6 @@ struct ConfigPlan {
   DynamicBitset arc_active;                ///< |A| bits
   std::vector<petri::PlaceId> controller;  ///< per arc; invalid if inactive
   std::vector<EvalStep> schedule;          ///< topological order
-  std::vector<std::uint32_t> written;      ///< dst ports of `schedule`
   /// Rule-10 multi-driver violations, in evaluation order; emitted
   /// verbatim every cycle this configuration holds.
   std::vector<std::string> drive_conflicts;
@@ -115,10 +116,10 @@ struct ConfigPlan {
   DynamicBitset candidate_mask;         ///< |T| bits: preset ⊆ marked
   std::vector<petri::TransitionId> candidates;  ///< ascending
   std::vector<ConflictCheck> conflict_checks;   ///< ascending by place
-  SparseState sparse;  ///< kSparse engine extension (lazily built)
+  SparseState sparse;  ///< change-propagation state (lazily built)
 
   /// Approximate resident footprint in bytes (struct + vector
-  /// capacities + bitsets + the sparse snapshot) — the unit behind the
+  /// capacities + bitsets + the value snapshot) — the unit behind the
   /// sim.plan_cache.bytes memory gauge.
   [[nodiscard]] std::size_t approx_bytes() const;
 };

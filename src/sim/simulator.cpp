@@ -13,7 +13,6 @@
 #include "petri/exec.h"
 #include "petri/marking.h"
 #include "serve/budget.h"
-#include "sim/engine_internal.h"
 #include "sim/plan.h"
 #include "util/bitset.h"
 #include "util/error.h"
@@ -35,7 +34,7 @@ using petri::TransitionId;
 // ---------------------------------------------------------------------------
 // Reference engine: the direct per-cycle transcription of the Def 3.1
 // rules. Deliberately naive — it re-derives the active configuration every
-// cycle — and kept as the differential baseline the compiled engine must
+// cycle — and kept as the differential baseline the plan engine must
 // match bit-for-bit.
 
 /// Per-cycle combinational evaluation over the active subgraph.
@@ -362,28 +361,132 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
   return result;
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
-// Compiled-plan engine.
+// Plan engine (SimEngine::kCompiled): compiled configuration plans driven
+// by change-propagation wavefronts.
+//
+// Consecutive cycles almost always change the marking (tokens move), so
+// incrementality is keyed per *plan*, not per cycle: each ConfigPlan
+// keeps a snapshot of its cone's port values from the last time it
+// executed (plan.sparse.values). A plan's cone is a pure function of its
+// leaf inputs — register state, environment stream heads, constants — so
+// on re-entry the engine:
+//
+//   1. seeds a dirty worklist with the leaf steps whose input changed
+//      since the snapshot (registers via monotonic change stamps,
+//      streams by polling, constants never);
+//   2. propagates the wavefront through the plan's dependency CSR in
+//      schedule order — the schedule is topological, so every step fires
+//      at most once per cycle (levelized);
+//   3. stops propagating wherever a re-evaluated step reproduces its
+//      snapshot value byte-for-byte.
+//
+// Cones whose leaves are all unchanged are skipped entirely. When most of
+// a plan's schedule changed on its previous execution, a straight linear
+// sweep replaces the worklist (see docs/PERF.md for activity factors per
+// design).
+//
+// Observables are bit-identical to kReference, including the
+// Environment::exhausted() side effect: the leaf check polls every
+// in-cone stream head every cycle, exactly the set the schedule's kInput
+// steps read.
 
-namespace internal {
+/// Reusable cycle-loop buffers. Everything the steady-state loop touches
+/// is hoisted here so that, once the buffers reach their high-water marks,
+/// a cycle performs zero heap allocations (when per-cycle recording is
+/// off and no external event occurs).
+struct SimScratch {
+  DynamicBitset marked_bits;            ///< plan-cache key, refilled per cycle
+  std::vector<Value> reg_state;         ///< per port (kReg outputs)
+  std::vector<std::uint8_t> arrival;    ///< per place: token arrived this cycle
+  petri::Marking marking;
+  std::vector<TransitionId> order;      ///< policy-specific firing order
+  std::vector<TransitionId> fireable;   ///< kSingleRandom candidates
+  std::vector<TransitionId> fired;
+  std::vector<std::uint8_t> guard_value;     ///< per-cycle guard memo
+  std::vector<std::uint64_t> guard_epoch;
+  std::vector<std::uint64_t> consume_epoch;  ///< per-vertex dedup stamp
+  std::vector<VertexId> consume_list;
+  std::uint64_t epoch = 0;  ///< monotonic across cycles and runs
+  DynamicBitset dirty_steps;  ///< wavefront worklist per cycle
+  /// Per-port epoch of the last *value-changing* latch of each kReg
+  /// output; a plan snapshot older than a register's stamp must
+  /// re-evaluate that register's leaf step.
+  std::vector<std::uint64_t> reg_stamp;
+};
 
-using dcf::OpCode;
-using dcf::PortId;
-using dcf::Value;
-using dcf::VertexId;
-using petri::PlaceId;
-using petri::TransitionId;
+/// Everything a persistent Simulator keeps across runs: the plan cache
+/// (schedules plus their value snapshots), the static transition tables
+/// and the cycle-loop scratch.
+struct SimulatorState {
+  explicit SimulatorState(const dcf::System& sys)
+      : system(sys),
+        actions(compile_transition_actions(sys)),
+        all_transitions(sys.control().net().transitions()) {}
 
-SimResult run_compiled(SimulatorState& state, Environment& env,
-                       const SimOptions& options) {
+  const dcf::System& system;
+  std::vector<TransitionActions> actions;  ///< static latch/consume tables
+  std::vector<TransitionId> all_transitions;
+  PlanCache plans;
+  SimScratch scratch;
+};
+
+/// Executes schedule step `i` of `plan` against `vals`, returning true
+/// when the destination value changed (and updating the snapshot).
+inline bool eval_step(const ConfigPlan& plan, std::size_t i,
+                      std::vector<Value>& vals,
+                      const std::vector<Value>& reg_state,
+                      const Environment& env) {
+  const EvalStep& step = plan.schedule[i];
+  Value next;
+  switch (step.kind) {
+    case EvalStep::Kind::kCopy:
+      next = vals[step.src[0]];
+      break;
+    case EvalStep::Kind::kReg:
+      next = reg_state[step.dst];
+      break;
+    case EvalStep::Kind::kInput:
+      next = env.current(step.owner);
+      break;
+    case EvalStep::Kind::kConst:
+      next = Value(step.op.immediate);
+      break;
+    case EvalStep::Kind::kOp: {
+      std::array<Value, 3> operands;
+      for (std::uint8_t k = 0; k < step.arity; ++k) {
+        operands[k] = vals[step.src[k]];
+      }
+      next = dcf::evaluate_op(
+          step.op, std::span<const Value>(operands.data(), step.arity));
+      break;
+    }
+  }
+  if (next == vals[step.dst]) return false;
+  vals[step.dst] = next;
+  return true;
+}
+
+/// Histogram bucket for one cycle's wavefront size (see
+/// SimStats::wavefront_hist).
+std::size_t wavefront_bucket(std::uint64_t size) {
+  std::size_t bucket = 0;
+  while (size != 0 && bucket + 1 < SimStats::kWavefrontBuckets) {
+    ++bucket;
+    size >>= 1;
+  }
+  return bucket;
+}
+
+SimResult run_plans(SimulatorState& state, Environment& env,
+                    const SimOptions& options) {
   const obs::ObsSpan run_span("sim.run");
   const dcf::DataPath& dp = state.system.datapath();
   const dcf::ControlNet& cn = state.system.control();
   const petri::Net& net = cn.net();
   const std::size_t places = net.place_count();
   const std::size_t transitions = net.transition_count();
+  const std::size_t ports = dp.port_count();
   SimScratch& s = state.scratch;
 
   state.plans.set_capacity(options.plan_cache_capacity);
@@ -394,40 +497,39 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
   SimResult result;
 
   // Per-run (re)initialization; buffer capacity persists across runs.
-  if (s.port_value.size() == dp.port_count()) {
-    for (const std::uint32_t p : s.prev_written) {
-      s.port_value[p] = Value::undef();
-    }
-  } else {
-    s.port_value.assign(dp.port_count(), Value::undef());
-  }
-  s.prev_written.clear();
-  s.reg_state.assign(dp.port_count(), Value::undef());
-  s.arrival.assign(places, 0);
+  // Register change stamps are bumped wholesale: relative to any plan
+  // snapshot from an earlier run, every register "changed" at power-up
+  // (snapshots survive across runs; the value compare in eval_step stops
+  // the wavefront where the replayed value coincides).
+  ++s.epoch;
+  s.reg_state.assign(ports, Value::undef());
   s.guard_value.assign(transitions, 0);
   s.guard_epoch.assign(transitions, 0);
   s.consume_epoch.assign(dp.vertex_count(), 0);
+  if (s.reg_stamp.size() != ports) s.reg_stamp.assign(ports, 0);
+  std::fill(s.reg_stamp.begin(), s.reg_stamp.end(), s.epoch);
+  s.arrival.assign(places, 0);
   s.marking = petri::Marking::initial(net);
-  s.available = petri::Marking(places);
-  s.produced = petri::Marking(places);
+  std::uint64_t total_tokens = 0;
+  bool unsafe_now = false;
   for (PlaceId p : net.places()) {
-    if (net.initial_tokens(p) > 0) s.arrival[p.index()] = 1;
+    const std::uint32_t tokens = net.initial_tokens(p);
+    total_tokens += tokens;
+    if (tokens > 1) unsafe_now = true;
+    if (tokens > 0) s.arrival[p.index()] = 1;
   }
 
   Rng rng(options.seed);
   bool reported_unsafe = false;
 
+  // Plan pointer reuse across cycles in which nothing fired (the marking
+  // — hence the plan — cannot have changed). Invalidated by evictions:
+  // LRU values are address-stable until evicted.
+  ConfigPlan* plan = nullptr;
+  bool marking_dirty = true;
+
   for (std::uint64_t cycle = 0; cycle < options.max_cycles; ++cycle) {
-    // Rule 6 + safety in one token scan.
-    std::uint64_t total = 0;
-    bool safe = true;
-    for (std::size_t i = 0; i < places; ++i) {
-      const std::uint32_t tokens =
-          s.marking.tokens(PlaceId(static_cast<std::uint32_t>(i)));
-      total += tokens;
-      if (tokens > 1) safe = false;
-    }
-    if (total == 0) {
+    if (total_tokens == 0) {  // rule 6
       result.terminated = true;
       break;
     }
@@ -436,19 +538,28 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
       break;
     }
     result.cycles = cycle + 1;
-    if (!safe && !reported_unsafe) {
+    if (unsafe_now && !reported_unsafe) {
       result.violations.push_back("unsafe marking reached at cycle " +
                                   std::to_string(cycle));
       reported_unsafe = true;
     }
 
-    // 1. Look up (or compile) this configuration's plan.
-    s.marking.marked_into(s.marked_bits);
-    ConfigPlan* plan = state.plans.find(s.marked_bits);
-    if (plan == nullptr) {
-      const obs::ObsSpan compile_span("sim.compile_plan");
-      plan = &state.plans.insert(s.marked_bits,
-                                 compile_plan(state.system, s.marked_bits));
+    // 1. Look up (or compile) this configuration's plan. When the
+    // previous cycle fired nothing the marking is unchanged and the
+    // cached pointer short-circuits the bitset refill + hash probe.
+    if (marking_dirty || plan == nullptr) {
+      s.marking.marked_into(s.marked_bits);
+      plan = state.plans.find(s.marked_bits);
+      if (plan == nullptr) {
+        const obs::ObsSpan compile_span("sim.compile_plan");
+        plan = &state.plans.insert(s.marked_bits,
+                                   compile_plan(state.system, s.marked_bits));
+      }
+      marking_dirty = false;
+    } else {
+      // Count the short-circuit as a cache hit so hit+miss keeps
+      // matching the cycle count.
+      state.plans.note_hit();
     }
     if (plan->combinational_loop) {
       result.violations.push_back(
@@ -456,44 +567,77 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
       break;
     }
 
-    // 2. Combinational replay (rules 7-10): reset last cycle's cone, run
-    // the schedule, then replay the static rule-10 conflicts.
-    for (const std::uint32_t p : s.prev_written) {
-      s.port_value[p] = Value::undef();
-    }
-    std::array<Value, 3> operands;
-    for (const EvalStep& step : plan->schedule) {
-      switch (step.kind) {
-        case EvalStep::Kind::kCopy:
-          s.port_value[step.dst] = s.port_value[step.src[0]];
-          break;
-        case EvalStep::Kind::kReg:
-          s.port_value[step.dst] = s.reg_state[step.dst];
-          break;
-        case EvalStep::Kind::kInput:
-          s.port_value[step.dst] = env.current(step.owner);
-          break;
-        case EvalStep::Kind::kConst:
-          s.port_value[step.dst] = Value(step.op.immediate);
-          break;
-        case EvalStep::Kind::kOp: {
-          for (std::uint8_t k = 0; k < step.arity; ++k) {
-            operands[k] = s.port_value[step.src[k]];
+    ++s.epoch;
+
+    // 2. Combinational values via change propagation against the plan's
+    // snapshot (rules 7-10); static rule-10 conflicts replay verbatim.
+    SparseState& sp = plan->sparse;
+    const std::size_t steps = plan->schedule.size();
+    std::uint64_t wavefront = 0;
+    const bool first = sp.values.empty();
+    if (first || 4 * static_cast<std::size_t>(sp.last_wavefront) >= steps) {
+      // Linear sweep of the whole schedule. On the plan's first execution
+      // it fills a fresh snapshot (non-cone ports stay ⊥ forever), which
+      // counts as fully changed. Afterwards it is dense mode: the plan's
+      // previous execution touched at least a quarter of its schedule, so
+      // worklist bookkeeping cannot pay for itself (the sweep is correct
+      // regardless of stamp state, since every step is recomputed). The
+      // changed-step count re-probes sparsity: once it drops below the
+      // threshold, the next execution switches back to the wavefront
+      // path. The cutover point was measured, not derived: at ~50%
+      // activity the linear sweep already wins on every bench design.
+      if (first) sp.values.assign(ports, Value::undef());
+      std::size_t changed = 0;
+      for (std::size_t i = 0; i < steps; ++i) {
+        if (eval_step(*plan, i, sp.values, s.reg_state, env)) ++changed;
+      }
+      wavefront = steps;
+      sp.last_wavefront = static_cast<std::uint32_t>(first ? steps : changed);
+    } else {
+      // The dependency topology is built the first time a plan takes
+      // this path: plans that only ever run cold or dense (one-shot
+      // candidate measurements) never pay for it.
+      if (!sp.topology_built) build_sparse_topology(*plan);
+      // One worklist, sized to the longest schedule seen, serves every
+      // plan; only bits below `steps` are ever set.
+      if (s.dirty_steps.size() < steps) {
+        s.dirty_steps = DynamicBitset(steps);
+      } else {
+        s.dirty_steps.reset_all();
+      }
+      for (const std::uint32_t leaf : sp.leaf_steps) {
+        const EvalStep& step = plan->schedule[leaf];
+        if (step.kind == EvalStep::Kind::kReg) {
+          // Stamp newer than the snapshot means the register may have
+          // changed since this plan last ran.
+          if (s.reg_stamp[step.dst] > sp.snap_epoch) s.dirty_steps.set(leaf);
+        } else {  // kInput: poll the stream head (cheap; few inputs)
+          if (env.current(step.owner) != sp.values[step.dst]) {
+            s.dirty_steps.set(leaf);
           }
-          s.port_value[step.dst] = dcf::evaluate_op(
-              step.op, std::span<const Value>(operands.data(), step.arity));
-          break;
         }
       }
+      for (std::size_t i = s.dirty_steps.find_next(0); i < steps;
+           i = s.dirty_steps.find_next(i + 1)) {
+        ++wavefront;
+        if (!eval_step(*plan, i, sp.values, s.reg_state, env)) continue;
+        for (std::uint32_t d = sp.dep_offsets[i]; d < sp.dep_offsets[i + 1];
+             ++d) {
+          s.dirty_steps.set(sp.dep_steps[d]);
+        }
+      }
+      sp.last_wavefront = static_cast<std::uint32_t>(wavefront);
     }
-    s.prev_written.assign(plan->written.begin(), plan->written.end());
+    sp.snap_epoch = s.epoch;
+    result.stats.steps_evaluated += wavefront;
+    result.stats.steps_skipped += steps - wavefront;
+    ++result.stats.wavefront_hist[wavefront_bucket(wavefront)];
+    const std::vector<Value>& vals = sp.values;
     for (const std::string& conflict : plan->drive_conflicts) {
       result.violations.push_back(conflict);
     }
 
-    // Per-cycle guard memo: steps 4 and 5 share one evaluation per
-    // transition (rule 4: OR over guard ports, ⊥ is not TRUE).
-    ++s.epoch;
+    // Per-cycle guard memo (rule 4: OR over guard ports, ⊥ is not TRUE).
     auto guard_true = [&](TransitionId t) {
       if (s.guard_epoch[t.index()] == s.epoch) {
         return s.guard_value[t.index()] != 0;
@@ -501,7 +645,7 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
       const auto& guards = cn.guards(t);
       bool value = guards.empty();
       for (std::size_t g = 0; !value && g < guards.size(); ++g) {
-        value = s.port_value[guards[g].index()].truthy();
+        value = vals[guards[g].index()].truthy();
       }
       s.guard_epoch[t.index()] = s.epoch;
       s.guard_value[t.index()] = value ? 1 : 0;
@@ -514,8 +658,8 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
     if (options.record_cycles) record.marked = plan->marked;
     for (const PlannedEvent& e : plan->events) {
       if (!s.arrival[e.controller.index()]) continue;
-      record.events.push_back(ExternalEvent{
-          e.arc, s.port_value[e.source_port], cycle, e.controller});
+      record.events.push_back(
+          ExternalEvent{e.arc, vals[e.source_port], cycle, e.controller});
     }
 
     // 4. Guard-conflict monitor (Def 3.2 rule 3, dynamic side).
@@ -554,36 +698,30 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
       }
       order = &s.order;
     }
-    // Step semantics (as petri::fire_step_in_order): enabledness against
-    // the start marking minus in-step consumption; production becomes
-    // visible only after the step.
-    s.available = s.marking;
-    for (std::size_t i = 0; i < places; ++i) {
-      s.produced.set_tokens(PlaceId(static_cast<std::uint32_t>(i)), 0);
-    }
+    // Pre-sets are debited from s.marking as transitions fire, so the
+    // enabledness test reads exactly Def 3.1's "available" marking:
+    // production only becomes visible after the whole step (added below,
+    // merged with the arrival/token bookkeeping).
     for (TransitionId t : *order) {
       if (!plan->candidate_mask.test(t.index())) continue;
       bool enabled = true;
       for (PlaceId p : net.pre(t)) {
-        if (s.available.tokens(p) == 0) {
+        if (s.marking.tokens(p) == 0) {
           enabled = false;
           break;
         }
       }
       if (!enabled || !guard_true(t)) continue;
-      for (PlaceId p : net.pre(t)) s.available.remove_token(p);
-      for (PlaceId p : net.post(t)) s.produced.add_token(p);
+      for (PlaceId p : net.pre(t)) s.marking.remove_token(p);
       s.fired.push_back(t);
     }
-    for (std::size_t i = 0; i < places; ++i) {
-      const PlaceId p(static_cast<std::uint32_t>(i));
-      s.marking.set_tokens(p, s.available.tokens(p) + s.produced.tokens(p));
-    }
+    if (!s.fired.empty()) marking_dirty = true;
     if (options.record_cycles) record.fired = s.fired;
 
     // 6+7. Latch sequential outputs and advance environment streams when
     // the controlling tenure ends (rule 9 / Def 3.5), via the static
-    // per-transition tables.
+    // per-transition tables. Register change stamps advance here — they
+    // are what seeds the next wavefronts.
     bool any_reg_changed = false;
     s.consume_list.clear();
     for (TransitionId t : s.fired) {
@@ -595,18 +733,35 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
         }
       }
       for (const auto& [target, reg_out] : act.latches) {
-        const Value value = s.port_value[target];
+        const Value value = vals[target];
         if (!value.defined()) continue;
-        if (s.reg_state[reg_out] != value) any_reg_changed = true;
+        if (s.reg_state[reg_out] != value) {
+          any_reg_changed = true;
+          s.reg_stamp[reg_out] = s.epoch + 1;  // visible from next cycle on
+        }
         s.reg_state[reg_out] = value;
       }
     }
     for (VertexId v : s.consume_list) env.consume(v);
 
-    // 8. Next cycle's arrivals = post-sets of fired transitions.
-    std::fill(s.arrival.begin(), s.arrival.end(), 0);
-    for (TransitionId t : s.fired) {
-      for (PlaceId p : net.post(t)) s.arrival[p.index()] = 1;
+    // 8. Post-set production plus next cycle's arrivals, token total and
+    // safety — all derivable from the fired transitions alone (a place
+    // can only exceed one token via a post-set production, so checking
+    // after each add sees the same maximum a final scan would).
+    if (!s.fired.empty()) {
+      std::fill(s.arrival.begin(), s.arrival.end(), 0);
+      for (TransitionId t : s.fired) {
+        total_tokens -= net.pre(t).size();
+        for (PlaceId p : net.post(t)) {
+          s.marking.add_token(p);
+          s.arrival[p.index()] = 1;
+          ++total_tokens;
+          if (s.marking.tokens(p) > 1) unsafe_now = true;
+        }
+      }
+    } else if (std::find(s.arrival.begin(), s.arrival.end(), 1) !=
+               s.arrival.end()) {
+      std::fill(s.arrival.begin(), s.arrival.end(), 0);
     }
 
     if (options.record_registers) record.registers = s.reg_state;
@@ -615,8 +770,8 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
     }
 
     // Stuck detection: nothing fired, no register changed and no stream
-    // advanced — the configuration can never evolve again. (Tokens remain:
-    // total > 0 was established at the top of the cycle.)
+    // advanced — the configuration can never evolve again. (Tokens
+    // remain: total > 0 was established at the top of the cycle.)
     if (s.fired.empty() && !any_reg_changed && s.consume_list.empty()) {
       result.deadlocked = true;
       break;
@@ -636,8 +791,8 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
   result.stats.plan_cache_misses = state.plans.misses() - misses0;
   result.stats.plan_cache_evictions = state.plans.evictions() - evictions0;
   result.stats.plan_cache_size = state.plans.size();
-  state.plans.for_each([&](const DynamicBitset&, const ConfigPlan& plan) {
-    result.stats.plan_cache_bytes += plan.approx_bytes();
+  state.plans.for_each([&](const DynamicBitset&, const ConfigPlan& cached) {
+    result.stats.plan_cache_bytes += cached.approx_bytes();
   });
   if (obs::TraceSession* session = obs::TraceSession::active()) {
     // Cumulative across the simulator's lifetime, so repeated runs form a
@@ -652,7 +807,7 @@ SimResult run_compiled(SimulatorState& state, Environment& env,
   return result;
 }
 
-}  // namespace internal
+}  // namespace
 
 std::string_view engine_name(SimEngine engine) {
   switch (engine) {
@@ -660,8 +815,6 @@ std::string_view engine_name(SimEngine engine) {
       return "compiled";
     case SimEngine::kReference:
       return "reference";
-    case SimEngine::kSparse:
-      return "sparse";
   }
   return "unknown";
 }
@@ -669,7 +822,6 @@ std::string_view engine_name(SimEngine engine) {
 std::optional<SimEngine> engine_from_name(std::string_view name) {
   if (name == "compiled") return SimEngine::kCompiled;
   if (name == "reference") return SimEngine::kReference;
-  if (name == "sparse") return SimEngine::kSparse;
   return std::nullopt;
 }
 
@@ -692,7 +844,6 @@ SimStats& SimStats::operator+=(const SimStats& other) {
   for (std::size_t i = 0; i < kWavefrontBuckets; ++i) {
     wavefront_hist[i] += other.wavefront_hist[i];
   }
-  lanes = std::max(lanes, other.lanes);
   return *this;
 }
 
@@ -712,13 +863,12 @@ std::string SimStats::to_string() const {
            std::to_string(steps_skipped) + " skipped (activity " +
            rounded.substr(0, rounded.find('.') + 2) + "%)";
   }
-  if (lanes > 0) out += "; lanes: " + std::to_string(lanes);
   return out;
 }
 
 struct Simulator::Impl {
   explicit Impl(const dcf::System& system) : state(system) {}
-  internal::SimulatorState state;
+  SimulatorState state;
 };
 
 Simulator::Simulator(const dcf::System& system)
@@ -728,15 +878,10 @@ Simulator::Simulator(Simulator&&) noexcept = default;
 Simulator& Simulator::operator=(Simulator&&) noexcept = default;
 
 SimResult Simulator::run(Environment& env, const SimOptions& options) {
-  switch (options.engine) {
-    case SimEngine::kReference:
-      return simulate_reference(impl_->state.system, env, options);
-    case SimEngine::kSparse:
-      return internal::run_sparse(impl_->state, env, options);
-    case SimEngine::kCompiled:
-      break;
+  if (options.engine == SimEngine::kReference) {
+    return simulate_reference(impl_->state.system, env, options);
   }
-  return internal::run_compiled(impl_->state, env, options);
+  return run_plans(impl_->state, env, options);
 }
 
 SimResult simulate(const dcf::System& system, Environment& env,
@@ -744,11 +889,8 @@ SimResult simulate(const dcf::System& system, Environment& env,
   if (options.engine == SimEngine::kReference) {
     return simulate_reference(system, env, options);
   }
-  internal::SimulatorState state(system);
-  if (options.engine == SimEngine::kSparse) {
-    return internal::run_sparse(state, env, options);
-  }
-  return internal::run_compiled(state, env, options);
+  SimulatorState state(system);
+  return run_plans(state, env, options);
 }
 
 }  // namespace camad::sim

@@ -16,19 +16,17 @@
 //   7. the environment stream of every input vertex read this cycle
 //      advances.
 //
-// Three engines implement these rules (see docs/PERF.md):
-//   * kCompiled (default) — compiles each distinct marked-place set into
-//     a ConfigPlan (active-arc mask, cone-restricted evaluation schedule,
-//     event/guard/latch tables) and replays it with an allocation-free
-//     steady-state cycle loop;
-//   * kSparse — the compiled engine plus change propagation: each plan
-//     snapshots its cone values after executing, and on re-entry only the
-//     steps downstream of a changed leaf (register, stream head) are
-//     re-evaluated, in a levelized wavefront that fires each step at most
-//     once per cycle; cones byte-identical to the plan's previous
-//     execution are skipped entirely;
+// Two engines implement these rules (see docs/PERF.md):
+//   * kCompiled (default) — the plan engine: compiles each distinct
+//     marked-place set into a ConfigPlan (active-arc mask, cone-restricted
+//     evaluation schedule, event/guard/latch tables) and replays it with
+//     an allocation-free steady-state cycle loop. Each plan snapshots its
+//     cone values after executing; on re-entry only the steps downstream
+//     of a changed leaf (register, stream head) are re-evaluated, in a
+//     levelized wavefront, or in a linear sweep when most of the plan
+//     changed last time;
 //   * kReference — the direct per-cycle transcription of the rules; the
-//     differential-testing baseline the other engines must match
+//     differential-testing baseline the plan engine must match
 //     bit-for-bit (traces, violations, terminations, final registers).
 //
 // Firing policies exist to *test* the confluence claim behind Def 3.2:
@@ -63,10 +61,9 @@ enum class FiringPolicy : std::uint8_t {
 enum class SimEngine : std::uint8_t {
   kCompiled,   ///< configuration-plan engine (default)
   kReference,  ///< naive per-cycle rule transcription (differential oracle)
-  kSparse,     ///< compiled engine + change-propagation wavefronts
 };
 
-/// "compiled" / "reference" / "sparse" (CLI spelling).
+/// "compiled" / "reference" (CLI spelling).
 [[nodiscard]] std::string_view engine_name(SimEngine engine);
 /// Inverse of engine_name; nullopt for unknown spellings.
 [[nodiscard]] std::optional<SimEngine> engine_from_name(std::string_view name);
@@ -103,10 +100,10 @@ struct SimStats {
   std::uint64_t plan_cache_evictions = 0;
   std::uint64_t plan_cache_size = 0;  ///< resident entries after the run
   /// Approximate resident bytes of the plan cache after the run (vector
-  /// capacities of every cached plan, sparse snapshots included).
+  /// capacities of every cached plan, value snapshots included).
   std::uint64_t plan_cache_bytes = 0;
 
-  // --- sparse engine (zero under the other engines) ---
+  // --- plan engine (zero under kReference) ---
   /// Schedule steps actually executed / proven byte-identical to the
   /// plan's previous execution and skipped. evaluated+skipped sums the
   /// cone sizes over all cycles, so evaluated/(evaluated+skipped) is the
@@ -119,17 +116,12 @@ struct SimStats {
   static constexpr std::size_t kWavefrontBuckets = 16;
   std::array<std::uint64_t, kWavefrontBuckets> wavefront_hist{};
 
-  /// Lockstep lanes this result was produced with (simulate_lanes);
-  /// 0 for ordinary single-lane runs.
-  std::uint32_t lanes = 0;
-
-  /// Fraction of cone steps re-evaluated per cycle; 0 when the sparse
-  /// counters are empty (non-sparse engines).
+  /// Fraction of cone steps re-evaluated per cycle; 0 when the step
+  /// counters are empty (kReference).
   [[nodiscard]] double activity_factor() const;
 
   /// Aggregation across runs: counts sum; size keeps the largest resident
-  /// footprint seen (sizes of distinct caches are not additive); lanes
-  /// keeps the widest run.
+  /// footprint seen (sizes of distinct caches are not additive).
   SimStats& operator+=(const SimStats& other);
 
   /// One-line human-readable summary for CLI output.

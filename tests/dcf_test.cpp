@@ -60,6 +60,20 @@ struct EvalCase {
   Value expected;
 };
 
+// gtest (and so ctest, via gtest_discover_tests) names each case by its
+// printed parameter. Without this it dumps the struct's raw bytes, which
+// hold heap pointers and padding, so the names changed on every run.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  const auto value = [](Value v) {
+    return v.defined() ? std::to_string(v.raw()) : std::string("undef");
+  };
+  *os << op_name(c.code) << '(';
+  for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+    *os << (i ? "," : "") << value(c.inputs[i]);
+  }
+  *os << ")=" << value(c.expected);
+}
+
 class OpEval : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(OpEval, Evaluates) {

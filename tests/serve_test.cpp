@@ -245,6 +245,14 @@ TEST(Service, EndpointsAnswerAndUnknownsAreRejected) {
   const JsonValue missing = json_parse(
       service.handle("{\"op\":\"simulate\",\"design\":\"d0\"}"));
   EXPECT_EQ(missing.find("error")->find("code")->string, kErrUnknownDesign);
+
+  // "sparse" named a plan engine that no longer exists.
+  const std::string id = design_id(service, kGcdSource);
+  const JsonValue engine = json_parse(service.handle(
+      "{\"op\":\"simulate\",\"design\":\"" + id +
+      "\",\"engine\":\"sparse\"}"));
+  EXPECT_FALSE(engine.find("ok")->boolean);
+  EXPECT_EQ(engine.find("error")->find("code")->string, kErrBadRequest);
 }
 
 // The S3 centerpiece: N threads hammer one shared Service (one shared
@@ -327,7 +335,10 @@ TEST(Service, FullQueueRejectsWithOverloadedInsteadOfStalling) {
   const std::string id = design_id(service, kGcdSource);
 
   // Occupy the single worker with a long simulate (bounded by its own
-  // deadline so the test cannot hang even if flooding goes wrong).
+  // deadline so the test cannot hang even if flooding goes wrong). With
+  // a = 1 every gcd iteration subtracts one from b, so the run lasts
+  // until max_cycles or the deadline; random inputs finish in a few
+  // dozen cycles, too fast to keep the worker busy.
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object()
@@ -335,6 +346,17 @@ TEST(Service, FullQueueRejectsWithOverloadedInsteadOfStalling) {
       .kv("design", id)
       .kv("max_cycles", static_cast<std::uint64_t>(1) << 20)
       .kv("deadline_ms", static_cast<std::uint64_t>(2000))
+      .key("inputs")
+      .begin_object()
+      .key("a")
+      .begin_array()
+      .value(1)
+      .end_array()
+      .key("b")
+      .begin_array()
+      .value(1000000000)
+      .end_array()
+      .end_object()
       .end_object();
   const std::string slow = os.str();
   std::thread occupant([&] { (void)service.handle(slow); });

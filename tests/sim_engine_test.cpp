@@ -1,8 +1,8 @@
-// Differential and determinism tests for the compiled configuration-plan
-// engine (sim::SimEngine::kCompiled) against the reference per-cycle
+// Differential and determinism tests for the plan engine
+// (sim::SimEngine::kCompiled) against the reference per-cycle
 // transcription of Def 3.1 (sim::SimEngine::kReference).
 //
-// The compiled engine must be *bit-identical* to the reference on every
+// The plan engine must be *bit-identical* to the reference on every
 // observable: cycle count, termination/deadlock flags, full trace
 // (markings, fired transitions, events, registers), final register
 // state, and violation messages — across every design, firing policy,
@@ -14,7 +14,6 @@
 #include "dcf/builder.h"
 #include "fixtures.h"
 #include "sim/batch.h"
-#include "sim/lanes.h"
 #include "sim/simulator.h"
 #include "synth/compile.h"
 #include "synth/designs.h"
@@ -182,44 +181,51 @@ TEST(SimEngineDeterminism, ReplaySameSeedIsIdentical) {
   }
 }
 
+// Batch workers reuse one Simulator across runs, so plan snapshots left
+// by one run seed the next run's wavefronts; every run must still match
+// a fresh sequential simulate().
 TEST(SimEngineDeterminism, BatchMatchesSequential) {
-  const dcf::System sys = make_gcd();
-  sim::SimOptions options;
-  options.policy = sim::FiringPolicy::kSingleRandom;
-  options.record_registers = true;
-
   const std::size_t kRuns = 8;
-  auto make_runs = [&] {
-    std::vector<sim::BatchRun> runs;
-    for (std::size_t k = 0; k < kRuns; ++k) {
-      sim::BatchRun job;
-      job.environment =
-          sim::Environment::random_for(sys, 100 + k, 32, 1, 30);
-      job.options = options;
-      job.options.seed = 100 + k;
-      runs.push_back(std::move(job));
-    }
-    return runs;
-  };
+  for (const synth::NamedDesign& d : synth::all_designs()) {
+    const dcf::System sys = synth::compile_source(std::string(d.source));
+    for (const sim::FiringPolicy policy : kPolicies) {
+      auto make_runs = [&] {
+        std::vector<sim::BatchRun> runs;
+        for (std::size_t k = 0; k < kRuns; ++k) {
+          sim::BatchRun job;
+          job.environment =
+              sim::Environment::random_for(sys, 100 + k, 32, 1, 30);
+          job.options.policy = policy;
+          job.options.seed = 100 + k;
+          job.options.record_registers = true;
+          runs.push_back(std::move(job));
+        }
+        return runs;
+      };
 
-  // Sequential oracle: plain simulate() per run.
-  std::vector<sim::SimResult> sequential;
-  {
-    std::vector<sim::BatchRun> runs = make_runs();
-    for (sim::BatchRun& job : runs) {
-      sequential.push_back(sim::simulate(sys, job.environment, job.options));
-    }
-  }
-  // Parallel batch, twice (replay must also be deterministic).
-  for (int round = 0; round < 2; ++round) {
-    std::vector<sim::BatchRun> runs = make_runs();
-    const std::vector<sim::SimResult> batched =
-        sim::simulate_batch(sys, runs, 4);
-    ASSERT_EQ(batched.size(), sequential.size());
-    for (std::size_t k = 0; k < kRuns; ++k) {
-      SCOPED_TRACE("round=" + std::to_string(round) + " run=" +
-                   std::to_string(k));
-      expect_identical_results(batched[k], sequential[k]);
+      // Sequential oracle: plain simulate() per run.
+      std::vector<sim::SimResult> sequential;
+      {
+        std::vector<sim::BatchRun> runs = make_runs();
+        for (sim::BatchRun& job : runs) {
+          sequential.push_back(
+              sim::simulate(sys, job.environment, job.options));
+        }
+      }
+      // Parallel batch, twice (replay must also be deterministic).
+      for (int round = 0; round < 2; ++round) {
+        std::vector<sim::BatchRun> runs = make_runs();
+        const std::vector<sim::SimResult> batched =
+            sim::simulate_batch(sys, runs, 4);
+        ASSERT_EQ(batched.size(), sequential.size());
+        for (std::size_t k = 0; k < kRuns; ++k) {
+          SCOPED_TRACE(std::string(d.name) + " policy=" +
+                       std::to_string(static_cast<int>(policy)) +
+                       " round=" + std::to_string(round) +
+                       " run=" + std::to_string(k));
+          expect_identical_results(batched[k], sequential[k]);
+        }
+      }
     }
   }
 }
@@ -274,82 +280,13 @@ TEST(SimEnginePlanCache, PersistentSimulatorReusesPlans) {
 }
 
 // ---------------------------------------------------------------------
-// Sparse engine: the change-propagation wavefront engine must be
-// bit-identical to both oracles on every design, policy and seed —
-// including the violation paths.
-
-TEST(SimEngineSparse, MatchesBothOraclesOnAllDesigns) {
-  for (const synth::NamedDesign& d : synth::all_designs()) {
-    const dcf::System sys = synth::compile_source(std::string(d.source));
-    for (const sim::FiringPolicy policy : kPolicies) {
-      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        SCOPED_TRACE(std::string(d.name) + " policy=" +
-                     std::to_string(static_cast<int>(policy)) + " seed=" +
-                     std::to_string(seed));
-        const sim::SimResult sparse =
-            run_engine(sys, sim::SimEngine::kSparse, policy, seed);
-        expect_identical_results(
-            sparse, run_engine(sys, sim::SimEngine::kReference, policy, seed));
-        expect_identical_results(
-            sparse, run_engine(sys, sim::SimEngine::kCompiled, policy, seed));
-      }
-    }
-  }
-}
-
-TEST(SimEngineSparse, ViolationPathsMatch) {
-  for (const dcf::System& sys : {improper_design(), multi_driver_design()}) {
-    for (const sim::FiringPolicy policy : kPolicies) {
-      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        SCOPED_TRACE(sys.name() + " seed=" + std::to_string(seed));
-        expect_identical_results(
-            run_engine(sys, sim::SimEngine::kSparse, policy, seed),
-            run_engine(sys, sim::SimEngine::kCompiled, policy, seed));
-      }
-    }
-  }
-}
-
-TEST(SimEngineSparse, HandBuiltFixtures) {
-  for (const dcf::System& sys : {make_gcd(), make_two_lane()}) {
-    for (const sim::FiringPolicy policy : kPolicies) {
-      SCOPED_TRACE(sys.name());
-      expect_identical_results(
-          run_engine(sys, sim::SimEngine::kSparse, policy, 7),
-          run_engine(sys, sim::SimEngine::kReference, policy, 7));
-    }
-  }
-}
-
-// A persistent Simulator may alternate engines between runs; plans (and
-// the sparse snapshots living inside them) are shared, and every engine
-// must stay correct whatever ran before it.
-TEST(SimEngineSparse, EngineInterleaveOnPersistentSimulator) {
-  const dcf::System sys = make_gcd();
-  sim::Simulator simulator(sys);
-  sim::Environment env = sim::Environment::random_for(sys, 5, 48, 1, 30);
-  sim::SimOptions options;
-  options.record_cycles = true;
-  options.record_registers = true;
-
-  options.engine = sim::SimEngine::kCompiled;
-  const sim::SimResult compiled = simulator.run(env, options);
-  for (int round = 0; round < 3; ++round) {
-    env.rewind();
-    options.engine = round % 2 == 0 ? sim::SimEngine::kSparse
-                                    : sim::SimEngine::kCompiled;
-    const sim::SimResult again = simulator.run(env, options);
-    SCOPED_TRACE("round=" + std::to_string(round));
-    expect_identical_results(compiled, again);
-  }
-}
+// Change propagation: plans skip the steps whose leaves did not change.
 
 TEST(SimEngineSparse, SkipsStepsAndKeepsCacheInvariant) {
   const dcf::System sys = make_gcd();
   sim::Simulator simulator(sys);
   sim::Environment env = sim::Environment::random_for(sys, 9, 48, 1, 30);
-  sim::SimOptions options;
-  options.engine = sim::SimEngine::kSparse;
+  const sim::SimOptions options;
 
   const sim::SimResult first = simulator.run(env, options);
   ASSERT_GT(first.cycles, 4u);
@@ -374,99 +311,6 @@ TEST(SimEngineSparse, SkipsStepsAndKeepsCacheInvariant) {
   EXPECT_EQ(second.stats.plan_cache_hits, second.cycles);
   EXPECT_GE(second.stats.steps_skipped, first.stats.steps_skipped);
   expect_identical_results(first, second);
-}
-
-// ---------------------------------------------------------------------
-// Lane engine: N lockstep environments through one shared plan must be
-// positionally bit-identical to N sequential runs — across lane widths,
-// thread counts, diverging control, violations and uneven retirement.
-
-std::vector<sim::BatchRun> lane_runs(const dcf::System& sys, std::size_t n,
-                                     sim::FiringPolicy policy) {
-  std::vector<sim::BatchRun> runs;
-  for (std::size_t k = 0; k < n; ++k) {
-    sim::BatchRun job;
-    job.environment = sim::Environment::random_for(sys, 200 + k, 32, 1, 30);
-    job.options.policy = policy;
-    job.options.seed = 200 + k;
-    job.options.record_cycles = true;
-    job.options.record_registers = true;
-    runs.push_back(std::move(job));
-  }
-  return runs;
-}
-
-TEST(SimEngineLanes, MatchesSequentialAcrossWidthsAndThreads) {
-  for (const dcf::System& sys :
-       {make_gcd(), improper_design(), multi_driver_design()}) {
-    for (const sim::FiringPolicy policy : kPolicies) {
-      std::vector<sim::SimResult> sequential;
-      {
-        std::vector<sim::BatchRun> runs = lane_runs(sys, 8, policy);
-        for (sim::BatchRun& job : runs) {
-          sequential.push_back(
-              sim::simulate(sys, job.environment, job.options));
-        }
-      }
-      for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}, std::size_t{8}}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-          SCOPED_TRACE(sys.name() + " lanes=" + std::to_string(lanes) +
-                       " threads=" + std::to_string(threads));
-          std::vector<sim::BatchRun> runs = lane_runs(sys, 8, policy);
-          const std::vector<sim::SimResult> laned =
-              sim::simulate_batch_lanes(sys, runs, lanes, threads);
-          ASSERT_EQ(laned.size(), sequential.size());
-          for (std::size_t k = 0; k < laned.size(); ++k) {
-            SCOPED_TRACE("run=" + std::to_string(k));
-            expect_identical_results(laned[k], sequential[k]);
-            EXPECT_GT(laned[k].stats.lanes, 0u);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(SimEngineLanes, UnevenRetirementAndMaxCycles) {
-  const dcf::System sys = make_gcd();
-  std::vector<sim::BatchRun> runs =
-      lane_runs(sys, 6, sim::FiringPolicy::kMaximalStep);
-  for (std::size_t k = 0; k < runs.size(); ++k) {
-    runs[k].options.max_cycles = 3 + 7 * k;  // lanes retire at different times
-  }
-  std::vector<sim::SimResult> sequential;
-  for (sim::BatchRun& job : runs) {
-    sim::Environment env = job.environment;  // keep the original stream
-    sequential.push_back(sim::simulate(sys, env, job.options));
-  }
-  const std::vector<sim::SimResult> laned = sim::simulate_lanes(sys, runs);
-  ASSERT_EQ(laned.size(), sequential.size());
-  for (std::size_t k = 0; k < laned.size(); ++k) {
-    SCOPED_TRACE("run=" + std::to_string(k));
-    expect_identical_results(laned[k], sequential[k]);
-  }
-  // Shared plan-cache accounting: one block, hits + misses equals the
-  // total lane-cycles executed — the sequential engines' invariant.
-  std::uint64_t lane_cycles = 0;
-  for (const sim::SimResult& r : laned) lane_cycles += r.cycles;
-  EXPECT_EQ(laned[0].stats.plan_cache_hits + laned[0].stats.plan_cache_misses,
-            lane_cycles);
-}
-
-TEST(SimEngineLanes, SeedSweepReplaysDeterministically) {
-  const dcf::System sys = make_gcd();
-  const auto a =
-      sim::simulate_batch_seeds_lanes(sys, 7, 12, 32, 4, {}, 2, 1, 30);
-  const auto b =
-      sim::simulate_batch_seeds_lanes(sys, 7, 12, 32, 4, {}, 1, 1, 30);
-  const auto plain = sim::simulate_batch_seeds(sys, 7, 12, 32, {}, 1, 1, 30);
-  ASSERT_EQ(a.size(), plain.size());
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    SCOPED_TRACE("run=" + std::to_string(k));
-    expect_identical_results(a[k], b[k]);
-    expect_identical_results(a[k], plain[k]);
-  }
 }
 
 }  // namespace

@@ -224,6 +224,33 @@ TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(2.136, 2), "2.14");
 }
 
+TEST(Strings, ParseNumbersStrictly) {
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_u64("18446744073709551615", u));
+  EXPECT_EQ(u, 18446744073709551615ULL);
+  for (const char* bad : {"", "abc", "12abc", "-1", "+1", " 1", "1 ",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad, u)) << bad;
+  }
+  EXPECT_EQ(u, 18446744073709551615ULL);  // unchanged on failure
+
+  std::int64_t i = 0;
+  EXPECT_TRUE(parse_i64("-42", i));
+  EXPECT_EQ(i, -42);
+  for (const char* bad : {"", "-", "--1", "+1", "4x", "9223372036854775808"}) {
+    EXPECT_FALSE(parse_i64(bad, i)) << bad;
+  }
+
+  double d = 0;
+  EXPECT_TRUE(parse_double("0.25", d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(parse_double("-1.5e2", d));
+  EXPECT_EQ(d, -150.0);
+  for (const char* bad : {"", "x", "1.5s", "nan", "inf", "1e999", " 1"}) {
+    EXPECT_FALSE(parse_double(bad, d)) << bad;
+  }
+}
+
 TEST(Table, RendersAlignedRows) {
   Table t({"design", "cycles"});
   t.add_row({"gcd", "42"});

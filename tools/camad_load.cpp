@@ -40,9 +40,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -56,9 +54,11 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 namespace {
 
+using camad::parse_u64;
 using camad::serve::FrameStatus;
 
 constexpr const char* kGcdSource = R"(design gcd {
@@ -132,19 +132,6 @@ int usage() {
                " [--requests N] [--seed S]\n"
                "                  [--check] [--heavy FILE.pnml] [--json]\n";
   return 2;
-}
-
-/// strtoull with full validation — std::stoull would terminate the
-/// process on `--clients x`. Rejects empty, signed, trailing-garbage
-/// and out-of-range spellings.
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  out = value;
-  return true;
 }
 
 bool parse_port(const std::string& text, std::uint16_t& out) {

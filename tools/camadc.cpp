@@ -40,13 +40,15 @@
 // timeline there needs the explicit `--trace=FILE` form.
 //
 // Exit status: 0 on success, 1 on a failed check / simulation violation,
-// 2 on usage or parse errors.
+// 2 on usage or parse errors — a malformed numeric option value included.
 
 #include <csignal>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,9 +68,7 @@
 #include "obs/trace.h"
 #include "semantics/analysis.h"
 #include "serve/budget.h"
-#include "sim/batch.h"
 #include "sim/environment.h"
-#include "sim/lanes.h"
 #include "sim/simulator.h"
 #include "sim/vcd.h"
 #include "synth/compile.h"
@@ -111,6 +111,13 @@ void install_signal_handlers() {
   std::signal(SIGTERM, camadc_handle_signal);
 }
 
+/// A malformed option value: main() prints it with the usage text and
+/// exits 2.
+struct UsageError : std::runtime_error {
+  UsageError(const std::string& key, const std::string& text)
+      : std::runtime_error("invalid value '" + text + "' for " + key) {}
+};
+
 struct Args {
   std::string command;
   std::string file;
@@ -129,6 +136,23 @@ struct Args {
       if (f == key) return true;
     }
     return false;
+  }
+  /// Numeric option values, nullopt when absent; a malformed value
+  /// throws UsageError.
+  [[nodiscard]] std::optional<std::uint64_t> u64(
+      const std::string& key) const {
+    const auto text = option(key);
+    if (!text) return std::nullopt;
+    std::uint64_t value = 0;
+    if (!parse_u64(*text, value)) throw UsageError(key, *text);
+    return value;
+  }
+  [[nodiscard]] std::optional<double> real(const std::string& key) const {
+    const auto text = option(key);
+    if (!text) return std::nullopt;
+    double value = 0;
+    if (!parse_double(*text, value)) throw UsageError(key, *text);
+    return value;
   }
   /// All values given for a repeatable option (e.g. --in).
   [[nodiscard]] std::vector<std::string> option_all(
@@ -155,7 +179,7 @@ constexpr const char* kUsage =
     "(pareto)\n"
     "  sim:    --in name=v1,v2,... --vcd PATH --max-cycles N --trace "
     "--seed S\n"
-    "          --engine compiled|reference|sparse --lanes N\n"
+    "          --engine compiled|reference\n"
     "  verify: --threads N --max-states M --token-bound B --witness[=FILE] "
     "--no-guards\n"
     "          --expect safe=yes,bounded=yes,deadlock=no,terminates=no,"
@@ -177,7 +201,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
       "--lambda",  "--max-steps",  "--netlist",     "--dot",   "--in",
       "--vcd",     "--max-cycles", "--seed",        "--trips", "--out",
       "--passes",  "--threads",    "--max-states",  "--token-bound",
-      "--engine",  "--lanes",      "--expect",      "--stub",
+      "--engine",  "--expect",     "--stub",
       "--export-pnml", "--strategy", "--beam",      "--generations",
       "--frontier-out"};
   for (int i = 3; i < argc; ++i) {
@@ -259,12 +283,8 @@ struct Telemetry {
       report.emplace(obs::RunReportOptions{"camadc", args.command, args.file,
                                            std::move(rest)});
     }
-    double interval = -1.0;
-    if (const auto secs = args.option("--progress")) {
-      interval = std::stod(*secs);
-    } else if (args.flag("--progress")) {
-      interval = 1.0;
-    }
+    const double interval = args.real("--progress").value_or(
+        args.flag("--progress") ? 1.0 : -1.0);
     if (interval >= 0.0) {
       meter.emplace(obs::ProgressMeterOptions{interval, nullptr});
     }
@@ -503,15 +523,10 @@ int cmd_synth_pareto(const Args& args, Telemetry& telemetry) {
   }
   synth::ParetoOptions options;
   options.measure.environments = 2;
-  if (const auto beam = args.option("--beam")) {
-    options.beam_width = std::stoul(*beam);
-  }
-  if (const auto generations = args.option("--generations")) {
-    options.generations = std::stoul(*generations);
-  }
-  if (const auto threads = args.option("--threads")) {
-    options.eval_threads = std::stoul(*threads);
-  }
+  options.beam_width = args.u64("--beam").value_or(options.beam_width);
+  options.generations =
+      args.u64("--generations").value_or(options.generations);
+  options.eval_threads = args.u64("--threads").value_or(options.eval_threads);
   options.verify_frontier = !args.flag("--no-verify");
   options.budget = &g_interrupt_budget;
   const synth::ModuleLibrary lib = synth::ModuleLibrary::standard();
@@ -566,12 +581,10 @@ int cmd_synth(const Args& args) {
     return 2;
   }
   synth::SynthesisOptions options;
-  if (const auto lambda = args.option("--lambda")) {
-    options.optimizer.area_weight = std::stod(*lambda);
-  }
-  if (const auto steps = args.option("--max-steps")) {
-    options.optimizer.max_steps = std::stoul(*steps);
-  }
+  options.optimizer.area_weight =
+      args.real("--lambda").value_or(options.optimizer.area_weight);
+  options.optimizer.max_steps =
+      args.u64("--max-steps").value_or(options.optimizer.max_steps);
   options.verify_result = !args.flag("--no-verify");
   options.optimizer.measure.environments = 2;
 
@@ -613,14 +626,26 @@ int cmd_sim(const Args& args) {
   Telemetry telemetry(args, /*bare_trace_is_chrome=*/false);
   const dcf::System system = load_any(args.file);
 
-  std::uint64_t seed = 7;
-  if (const auto s = args.option("--seed")) seed = std::stoull(s->c_str());
+  sim::SimOptions options;
+  options.record_registers = args.option("--vcd").has_value();
+  options.max_cycles = args.u64("--max-cycles").value_or(options.max_cycles);
+  options.seed = args.u64("--seed").value_or(7);
+  options.budget = &g_interrupt_budget;
+  if (const auto name = args.option("--engine")) {
+    const auto engine = sim::engine_from_name(*name);
+    if (!engine.has_value()) {
+      std::cerr << "unknown engine '" << *name
+                << "' (expected compiled or reference)\n";
+      return 2;
+    }
+    options.engine = *engine;
+  }
 
   sim::Environment env;
   const auto specs = args.option_all("--in");
   if (specs.empty()) {
-    env = sim::Environment::random_for(system, seed, 64, 1, 99);
-    std::cout << "(no --in given: random environment, seed " << seed
+    env = sim::Environment::random_for(system, options.seed, 64, 1, 99);
+    std::cout << "(no --in given: random environment, seed " << options.seed
               << ")\n";
   } else {
     for (const std::string& spec : specs) {
@@ -637,73 +662,12 @@ int cmd_sim(const Args& args) {
       }
       std::vector<std::int64_t> values;
       for (const std::string& item : split(spec.substr(eq + 1), ',')) {
-        values.push_back(std::stoll(item));
+        std::int64_t value = 0;
+        if (!parse_i64(item, value)) throw UsageError("--in " + name, item);
+        values.push_back(value);
       }
       env.set_stream(v, std::move(values));
     }
-  }
-
-  sim::SimOptions options;
-  options.record_registers = args.option("--vcd").has_value();
-  if (const auto limit = args.option("--max-cycles")) {
-    options.max_cycles = std::stoull(limit->c_str());
-  }
-  options.seed = seed;
-  options.budget = &g_interrupt_budget;
-  if (const auto name = args.option("--engine")) {
-    const auto engine = sim::engine_from_name(*name);
-    if (!engine.has_value()) {
-      std::cerr << "unknown engine '" << *name
-                << "' (expected compiled, reference or sparse)\n";
-      return 2;
-    }
-    options.engine = *engine;
-  }
-
-  std::size_t lanes = 1;
-  if (const auto n = args.option("--lanes")) {
-    lanes = std::stoull(n->c_str());
-    if (lanes == 0) lanes = 1;
-  }
-  if (lanes > 1) {
-    // Lane mode: N lockstep runs through the SoA lane engine. Explicit
-    // --in streams are replicated across lanes; without --in each lane
-    // gets its own random environment (seeds seed .. seed+N-1). The
-    // per-lane seed offsets decorrelate random firing policies too.
-    std::vector<sim::BatchRun> runs;
-    runs.reserve(lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      sim::BatchRun run;
-      run.environment =
-          specs.empty() ? sim::Environment::random_for(system, seed + k, 64,
-                                                       1, 99)
-                        : env;
-      run.options = options;
-      run.options.seed = seed + k;
-      runs.push_back(std::move(run));
-    }
-    const std::vector<sim::SimResult> results =
-        sim::simulate_lanes(system, runs);
-    bool any_violation = false;
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      const sim::SimResult& r = results[k];
-      std::cout << system.name() << " lane " << k << ": "
-                << sim_outcome(r) << " after " << r.cycles << " cycles, "
-                << r.trace.event_count() << " external events\n";
-      for (const std::string& violation : r.violations) {
-        std::cout << "violation (lane " << k << "): " << violation << '\n';
-        any_violation = true;
-      }
-    }
-    sim::SimStats stats;
-    for (const sim::SimResult& r : results) stats += r.stats;
-    std::cout << "  engine lanes: " << stats.to_string() << '\n';
-    if (telemetry.collect_metrics()) {
-      obs::publish_sim_stats(telemetry.metrics, stats);
-      telemetry.metrics.add("sim.runs", results.size());
-    }
-    telemetry.note("engine", stats.to_string());
-    return telemetry.finish(any_violation ? 1 : 0);
   }
 
   const sim::SimResult result = sim::simulate(system, env, options);
@@ -760,14 +724,13 @@ int cmd_verify(const Args& args) {
   const petri::Net& net = system.control().net();
 
   mc::McOptions options;
-  if (const auto t = args.option("--threads")) {
-    options.threads = std::stoul(*t);
-  }
-  if (const auto m = args.option("--max-states")) {
-    options.max_states = std::stoul(*m);
-  }
-  if (const auto b = args.option("--token-bound")) {
-    options.token_bound = static_cast<std::uint32_t>(std::stoul(*b));
+  options.threads = args.u64("--threads").value_or(options.threads);
+  options.max_states = args.u64("--max-states").value_or(options.max_states);
+  if (const auto bound = args.u64("--token-bound")) {
+    if (*bound > UINT32_MAX) {
+      throw UsageError("--token-bound", std::to_string(*bound));
+    }
+    options.token_bound = static_cast<std::uint32_t>(*bound);
   }
   options.use_guards = !args.flag("--no-guards");
   options.budget = &g_interrupt_budget;
@@ -981,6 +944,8 @@ int cmd_report(const Args& args) {
   Telemetry telemetry(args, /*bare_trace_is_chrome=*/true);
   const dcf::System system = load_any(args.file);
   const synth::ModuleLibrary lib = synth::ModuleLibrary::standard();
+  synth::CriticalPathOptions cp;
+  cp.loop_trip_count = args.real("--trips").value_or(cp.loop_trip_count);
 
   std::size_t fus = 0, registers = 0, constants = 0;
   for (dcf::VertexId v : system.datapath().vertices()) {
@@ -1009,10 +974,6 @@ int cmd_report(const Args& args) {
   table.add_row({"cycle time (ns)", format_double(timing.cycle_time, 1)});
   std::cout << system.name() << '\n' << table.to_string();
 
-  synth::CriticalPathOptions cp;
-  if (const auto trips = args.option("--trips")) {
-    cp.loop_trip_count = std::stod(*trips);
-  }
   const synth::CriticalPathResult path =
       synth::critical_path(system, lib, cp);
   std::cout << path.to_string(system) << '\n';
@@ -1047,6 +1008,9 @@ int main(int argc, char** argv) {
     if (args->command == "report") return cmd_report(*args);
     if (args->command == "import") return cmd_import(*args);
     std::cerr << kUsage;
+    return 2;
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << '\n' << kUsage;
     return 2;
   } catch (const ParseError& e) {
     std::cerr << "error: " << e.what() << '\n';

@@ -23,9 +23,7 @@
 // Exit status: 0 on a clean (signal-driven) shutdown, 2 on usage or
 // bind errors.
 
-#include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,8 +33,11 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace {
+
+using camad::parse_u64;
 
 camad::serve::Server* g_server = nullptr;
 
@@ -63,19 +64,6 @@ int usage() {
                "              [--deadline-ms N] [--report[=FILE]]"
                " [--metrics[=FILE]]\n";
   return 2;
-}
-
-/// strtoull with full validation — std::stoull would terminate the
-/// process on `--workers x`. Rejects empty, signed, trailing-garbage
-/// and out-of-range spellings.
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  out = value;
-  return true;
 }
 
 bool parse_port(const std::string& text, std::uint16_t& out) {
