@@ -16,8 +16,9 @@
 //
 // Pass --json[=PATH] (default BENCH_sim.json) to additionally emit a
 // machine-readable record per design (cycles/s per engine, speedup,
-// activity factor, batch throughput) so the perf trajectory is tracked
-// across changes (see docs/PERF.md).
+// activity factor, batch throughput, cold throughput and the plans a
+// cold run compiles) so the perf trajectory is tracked across changes
+// (see docs/PERF.md).
 
 #include <benchmark/benchmark.h>
 
@@ -140,6 +141,22 @@ void BM_simulate_random(benchmark::State& state) {
 BENCHMARK(BM_simulate_random)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
+/// Cycles/second of `run` (which returns the cycles it simulated),
+/// repeated for at least 0.2 s of wall time.
+template <typename Run>
+double cycles_per_second(Run&& run) {
+  using clock = std::chrono::steady_clock;
+  std::uint64_t cycles = 0;
+  const auto start = clock::now();
+  auto elapsed = [&] {
+    return std::chrono::duration<double>(clock::now() - start).count();
+  };
+  do {
+    cycles += run();
+  } while (elapsed() < 0.2);
+  return static_cast<double>(cycles) / elapsed();
+}
+
 /// Steady-state cycles/second of one engine on one design, measured with
 /// a persistent engine and rewound environment (min 0.2s of wall time).
 double measure_cycles_per_second(const dcf::System& sys,
@@ -153,18 +170,31 @@ double measure_cycles_per_second(const dcf::System& sys,
   // Warm up (compile plans / memoize orders / populate snapshots).
   env.rewind();
   simulator.run(env, options);
-
-  using clock = std::chrono::steady_clock;
-  std::uint64_t cycles = 0;
-  const auto start = clock::now();
-  auto elapsed = [&] {
-    return std::chrono::duration<double>(clock::now() - start).count();
-  };
-  do {
+  return cycles_per_second([&] {
     env.rewind();
-    cycles += simulator.run(env, options).cycles;
-  } while (elapsed() < 0.2);
-  return static_cast<double>(cycles) / elapsed();
+    return simulator.run(env, options).cycles;
+  });
+}
+
+/// Cold throughput: cycles/second with a fresh engine per run (the
+/// BM_simulate_cold shape), so plan compilation sits on the critical
+/// path; plus the plans one such run compiles, a deterministic count.
+struct ColdRuns {
+  double cycles_per_second = 0;
+  std::uint64_t plan_compiles = 0;
+};
+ColdRuns measure_cold(const dcf::System& sys, const std::string& name) {
+  sim::Environment env = bench::fixed_environment(sys, name);
+  sim::SimOptions options;
+  options.record_cycles = false;
+  ColdRuns cold;
+  cold.plan_compiles =
+      sim::simulate(sys, env, options).stats.plan_cache_misses;
+  cold.cycles_per_second = cycles_per_second([&] {
+    env.rewind();
+    return sim::simulate(sys, env, options).cycles;  // fresh engine
+  });
+  return cold;
 }
 
 /// Steady-state plan-engine stats (one warmed run), for the activity
@@ -188,21 +218,16 @@ double measure_batch_cycles_per_second(const dcf::System& sys) {
     return sim::simulate_batch_seeds(sys, 1, 16, 64, options, 1, 1, 20);
   };
   sweep();  // warm-up (allocator, page faults)
-
-  using clock = std::chrono::steady_clock;
-  std::uint64_t cycles = 0;
-  const auto start = clock::now();
-  auto elapsed = [&] {
-    return std::chrono::duration<double>(clock::now() - start).count();
-  };
-  do {
+  return cycles_per_second([&] {
+    std::uint64_t cycles = 0;
     for (const sim::SimResult& r : sweep()) cycles += r.cycles;
-  } while (elapsed() < 0.2);
-  return static_cast<double>(cycles) / elapsed();
+    return cycles;
+  });
 }
 
 /// Emits BENCH_sim.json: per-design steady-state cycles/s for both
-/// engines, speedup, activity factor and batch throughput. Returns false
+/// engines, speedup, activity factor, batch throughput and cold
+/// throughput with its plan-compile count. Returns false
 /// if the file cannot be written OR if the plan engine falls below 2x
 /// reference on any design (CI runs the bench with --json and fails on
 /// nonzero exit).
@@ -217,6 +242,7 @@ bool emit_json(const std::string& path,
         d.system, d.name, sim::SimEngine::kReference);
     const sim::SimStats stats = steady_stats(d.system, d.name);
     const double batch = measure_batch_cycles_per_second(d.system);
+    const ColdRuns cold = measure_cold(d.system, d.name);
     json.begin_design(d.name)
         .field("cycles_per_second", static_cast<std::uint64_t>(compiled))
         .field("reference_cycles_per_second",
@@ -224,13 +250,18 @@ bool emit_json(const std::string& path,
         .field("speedup", bench::rounded(compiled / reference, 2))
         .field("activity_factor", bench::rounded(stats.activity_factor(), 4))
         .field("batch_cycles_per_second", static_cast<std::uint64_t>(batch))
+        .field("cold_cycles_per_second",
+               static_cast<std::uint64_t>(cold.cycles_per_second))
+        .field("cold_plan_compiles", cold.plan_compiles)
         .end_design();
     std::cout << "BENCH_sim " << d.name << ": "
               << static_cast<std::uint64_t>(compiled) << " cycles/s ("
               << format_double(compiled / reference, 2)
               << "x reference, activity "
               << format_double(stats.activity_factor(), 2) << "); batch "
-              << static_cast<std::uint64_t>(batch) << '\n';
+              << static_cast<std::uint64_t>(batch) << "; cold "
+              << static_cast<std::uint64_t>(cold.cycles_per_second) << " ("
+              << cold.plan_compiles << " plan compiles)\n";
     if (compiled < 2.0 * reference) {
       std::cerr << "BENCH_sim REGRESSION: plan engine at "
                 << format_double(compiled / reference, 2)

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "graph/algorithms.h"
-#include "graph/digraph.h"
-
 namespace camad::sim {
 namespace {
 
@@ -21,8 +18,9 @@ constexpr std::uint32_t kNoDriver = 0xffffffffU;
 
 }  // namespace
 
-ConfigPlan compile_plan(const dcf::System& system,
-                        const DynamicBitset& marked_bits) {
+ConfigPlan compile_plan(const dcf::System& system, const dcf::PortGraph& graph,
+                        const DynamicBitset& marked_bits,
+                        CompileScratch& scratch) {
   const dcf::DataPath& dp = system.datapath();
   const dcf::ControlNet& cn = system.control();
   const petri::Net& net = cn.net();
@@ -44,58 +42,65 @@ ConfigPlan compile_plan(const dcf::System& system,
     }
   }
 
-  // Full dependency graph over ports, exactly as the reference evaluator
-  // builds it, so combinational-loop detection and evaluation order agree.
-  graph::Digraph deps(ports);
-  for (ArcId a : dp.arcs()) {
-    if (!plan.arc_active.test(a.index())) continue;
-    deps.add_edge(graph::NodeId(dp.arc_source(a).value()),
-                  graph::NodeId(dp.arc_target(a).value()));
+  // In-degrees of the port graph under this configuration: the static
+  // binding in-degrees plus one per active arc into an input port. An
+  // input port's active fan-in is also what rule 10 judges.
+  std::vector<std::uint32_t>& in_degree = scratch.in_degree;
+  std::vector<std::uint32_t>& fan_in = scratch.fan_in;
+  std::vector<std::uint32_t>& first_source = scratch.first_source;
+  in_degree = graph.static_in_degrees();
+  fan_in.assign(ports, 0);
+  first_source.resize(ports);
+  plan.arc_active.for_each([&](std::size_t i) {
+    const ArcId a(static_cast<ArcId::underlying_type>(i));
+    const std::size_t target = dp.arc_target(a).index();
+    if (fan_in[target]++ == 0) first_source[target] = dp.arc_source(a).value();
+    ++in_degree[target];
+  });
+
+  // Kahn's sort with a LIFO frontier, step for step the one
+  // graph::topological_sort runs on the reference engine's port Digraph
+  // (same seeds in port order, same out-edge order), so schedules and
+  // drive-conflict lists come out in the reference order.
+  std::vector<std::uint32_t>& order = scratch.order;
+  std::vector<std::uint32_t>& frontier = scratch.frontier;
+  order.clear();
+  frontier.clear();
+  for (std::size_t p = 0; p < ports; ++p) {
+    if (in_degree[p] == 0) frontier.push_back(static_cast<std::uint32_t>(p));
   }
-  for (VertexId v : dp.vertices()) {
-    for (PortId o : dp.output_ports(v)) {
-      const Operation& op = dp.operation(o);
-      if (dcf::op_is_sequential(op.code)) continue;
-      const int arity = dcf::op_arity(op.code);
-      const auto& ins = dp.input_ports(v);
-      for (int k = 0; k < arity; ++k) {
-        deps.add_edge(graph::NodeId(ins[static_cast<std::size_t>(k)].value()),
-                      graph::NodeId(o.value()));
-      }
+  while (!frontier.empty()) {
+    const std::uint32_t p = frontier.back();
+    frontier.pop_back();
+    order.push_back(p);
+    for (const dcf::PortEdge& e : graph.out_edges(p)) {
+      if (e.arc.valid() && !plan.arc_active.test(e.arc.index())) continue;
+      if (--in_degree[e.to] == 0) frontier.push_back(e.to);
     }
   }
-  const auto sorted = graph::topological_sort(deps);
-  if (!sorted) {
+  if (order.size() != ports) {
     plan.combinational_loop = true;
     return plan;
   }
 
   // Rule 10 per input port: 0 drivers -> ⊥, 1 -> copy, >1 -> conflict.
   // Conflicts are reported in evaluation order, like the reference path.
-  std::vector<std::uint32_t> unique_driver(ports, kNoDriver);
-  for (graph::NodeId n : *sorted) {
-    const PortId p(n.value());
-    if (dp.direction(p) != dcf::PortDir::kIn) continue;
-    int active_count = 0;
-    PortId source = PortId::invalid();
-    for (ArcId a : dp.arcs_into(p)) {
-      if (!plan.arc_active.test(a.index())) continue;
-      ++active_count;
-      source = dp.arc_source(a);
-    }
-    if (active_count > 1) {
+  auto unique_driver = [&](std::uint32_t p) {
+    return fan_in[p] == 1 ? first_source[p] : kNoDriver;
+  };
+  for (const std::uint32_t p : order) {
+    if (fan_in[p] > 1) {
       plan.drive_conflicts.push_back(
-          "input port " + dp.name(p) + " driven by " +
-          std::to_string(active_count) + " simultaneously active arcs");
-    } else if (active_count == 1) {
-      unique_driver[p.index()] = source.value();
+          "input port " + dp.name(PortId(p)) + " driven by " +
+          std::to_string(fan_in[p]) + " simultaneously active arcs");
     }
   }
 
   // Candidate transitions: preset ⊆ marked support — the rule-3
   // enabledness test for any token counts sharing this support.
   plan.candidate_mask = DynamicBitset(net.transition_count());
-  for (TransitionId t : net.transitions()) {
+  for (std::size_t i = 0; i < net.transition_count(); ++i) {
+    const TransitionId t(static_cast<TransitionId::underlying_type>(i));
     bool candidate = true;
     for (PlaceId p : net.pre(t)) {
       if (!marked_bits.test(p.index())) {
@@ -126,7 +131,7 @@ ConfigPlan compile_plan(const dcf::System& system,
   }
 
   // Active external arcs in arc-id order (Def 3.4 event sites).
-  for (ArcId a : dp.external_arcs()) {
+  for (ArcId a : graph.external_arcs()) {
     if (!plan.arc_active.test(a.index())) continue;
     plan.events.push_back(
         PlannedEvent{a, dp.arc_source(a).value(), plan.controller[a.index()]});
@@ -136,12 +141,14 @@ ConfigPlan compile_plan(const dcf::System& system,
   // from candidate presets, event sources, and every environment-source
   // port (the reference engine polls env.current for each kInput output
   // every cycle, which also drives Environment::exhausted()).
-  std::vector<char> needed(ports, 0);
-  std::vector<PortId> pending;
+  std::vector<std::uint8_t>& needed = scratch.needed;
+  std::vector<std::uint32_t>& pending = scratch.pending;
+  needed.assign(ports, 0);
+  pending.clear();
   auto need = [&](PortId p) {
     if (!needed[p.index()]) {
       needed[p.index()] = 1;
-      pending.push_back(p);
+      pending.push_back(p.value());
     }
   };
   for (TransitionId t : plan.candidates) {
@@ -151,15 +158,13 @@ ConfigPlan compile_plan(const dcf::System& system,
     }
   }
   for (const PlannedEvent& e : plan.events) need(PortId(e.source_port));
-  for (VertexId v : dp.vertices()) {
-    if (dp.kind(v) == dcf::VertexKind::kInput) need(dp.the_output_port(v));
-  }
+  for (PortId p : graph.environment_sources()) need(p);
   while (!pending.empty()) {
-    const PortId p = pending.back();
+    const PortId p(pending.back());
     pending.pop_back();
     if (dp.direction(p) == dcf::PortDir::kIn) {
-      if (unique_driver[p.index()] != kNoDriver) {
-        need(PortId(unique_driver[p.index()]));
+      if (unique_driver(p.value()) != kNoDriver) {
+        need(PortId(unique_driver(p.value())));
       }
       continue;
     }
@@ -173,15 +178,15 @@ ConfigPlan compile_plan(const dcf::System& system,
   }
 
   // Emit the schedule: cone ports only, in the full topological order.
-  for (graph::NodeId n : *sorted) {
-    const PortId p(n.value());
-    if (!needed[p.index()]) continue;
+  for (const std::uint32_t port : order) {
+    if (!needed[port]) continue;
+    const PortId p(port);
     EvalStep step;
-    step.dst = p.value();
+    step.dst = port;
     if (dp.direction(p) == dcf::PortDir::kIn) {
-      if (unique_driver[p.index()] == kNoDriver) continue;  // stays ⊥
+      if (unique_driver(port) == kNoDriver) continue;  // stays ⊥
       step.kind = EvalStep::Kind::kCopy;
-      step.src[0] = unique_driver[p.index()];
+      step.src[0] = unique_driver(port);
     } else {
       const Operation& op = dp.operation(p);
       step.op = op;
@@ -317,6 +322,7 @@ std::size_t ConfigPlan::approx_bytes() const {
   bytes += bitset_bytes(arc_active);
   bytes += controller.capacity() * sizeof(petri::PlaceId);
   bytes += schedule.capacity() * sizeof(EvalStep);
+  bytes += drive_conflicts.capacity() * sizeof(std::string);
   for (const std::string& conflict : drive_conflicts) {
     bytes += conflict.capacity();
   }

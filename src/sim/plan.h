@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "dcf/portgraph.h"
 #include "dcf/system.h"
 #include "petri/net.h"
 #include "util/bitset.h"
@@ -134,9 +135,25 @@ struct TransitionActions {
   std::vector<dcf::VertexId> consumes;
 };
 
-/// Compiles the plan for one marked-place support set.
-ConfigPlan compile_plan(const dcf::System& system,
-                        const DynamicBitset& marked_bits);
+/// Buffers compile_plan reuses across calls (one set per simulator), so
+/// a compile allocates only the plan it returns.
+struct CompileScratch {
+  std::vector<std::uint32_t> in_degree;      ///< Kahn's remaining in-degree
+  std::vector<std::uint32_t> fan_in;         ///< active arcs into each port
+  std::vector<std::uint32_t> first_source;   ///< source of the first one
+  std::vector<std::uint32_t> order;          ///< topological port order
+  std::vector<std::uint32_t> frontier;
+  std::vector<std::uint8_t> needed;          ///< observation-cone membership
+  std::vector<std::uint32_t> pending;
+};
+
+/// Compiles the plan for one marked-place support set. `graph` must be
+/// the port graph of `system`'s data path. The schedule and the rule-10
+/// drive conflicts follow graph::topological_sort's order on the
+/// equivalent port Digraph, which is the reference engine's order.
+ConfigPlan compile_plan(const dcf::System& system, const dcf::PortGraph& graph,
+                        const DynamicBitset& marked_bits,
+                        CompileScratch& scratch);
 
 /// Builds the plan's SparseState topology (leaf steps + dependency CSR)
 /// from its schedule. Idempotent; does not touch the value snapshot.

@@ -416,18 +416,21 @@ struct SimScratch {
 };
 
 /// Everything a persistent Simulator keeps across runs: the plan cache
-/// (schedules plus their value snapshots), the static transition tables
-/// and the cycle-loop scratch.
+/// (schedules plus their value snapshots), the static port graph and
+/// transition tables, and the compile and cycle-loop scratch.
 struct SimulatorState {
   explicit SimulatorState(const dcf::System& sys)
       : system(sys),
+        graph(sys.datapath()),
         actions(compile_transition_actions(sys)),
         all_transitions(sys.control().net().transitions()) {}
 
   const dcf::System& system;
+  dcf::PortGraph graph;
   std::vector<TransitionActions> actions;  ///< static latch/consume tables
   std::vector<TransitionId> all_transitions;
   PlanCache plans;
+  CompileScratch compile_scratch;
   SimScratch scratch;
 };
 
@@ -552,8 +555,9 @@ SimResult run_plans(SimulatorState& state, Environment& env,
       plan = state.plans.find(s.marked_bits);
       if (plan == nullptr) {
         const obs::ObsSpan compile_span("sim.compile_plan");
-        plan = &state.plans.insert(s.marked_bits,
-                                   compile_plan(state.system, s.marked_bits));
+        plan = &state.plans.insert(
+            s.marked_bits, compile_plan(state.system, state.graph,
+                                        s.marked_bits, state.compile_scratch));
       }
       marking_dirty = false;
     } else {

@@ -1,12 +1,11 @@
 #include "synth/cost.h"
 
 #include <algorithm>
+#include <limits>
 
-#include "graph/algorithms.h"
-#include "graph/digraph.h"
+#include "dcf/portgraph.h"
 #include "sim/batch.h"
 #include "sim/simulator.h"
-#include "util/error.h"
 
 namespace camad::synth {
 
@@ -41,56 +40,111 @@ AreaReport estimate_area(const dcf::System& system, const ModuleLibrary& lib) {
   return report;
 }
 
+namespace {
+
+constexpr double kScale = 100.0;  // fixed-point ns for integer longest-path
+
+}  // namespace
+
+std::vector<std::optional<double>> state_path_delays(
+    const dcf::System& system, const ModuleLibrary& lib) {
+  const dcf::DataPath& dp = system.datapath();
+  const dcf::ControlNet& cn = system.control();
+  const dcf::PortGraph graph(dp);
+  const std::size_t ports = dp.port_count();
+
+  // Node weights are state-independent: the module delay of the
+  // producing operation on every output port, the mux delay on every
+  // input port with more than one pending arc.
+  std::vector<std::int64_t> weight(ports, 0);
+  for (std::size_t i = 0; i < ports; ++i) {
+    const dcf::PortId p(static_cast<dcf::PortId::underlying_type>(i));
+    if (dp.direction(p) == dcf::PortDir::kOut) {
+      weight[i] = static_cast<std::int64_t>(
+          lib.module_for(dp.operation(p).code).delay * kScale);
+    } else if (dp.arcs_into(p).size() > 1) {
+      weight[i] = static_cast<std::int64_t>(lib.mux_delay() * kScale);
+    }
+  }
+
+  // Scratch shared by every state. Stamps mark the current state's arcs
+  // and vertices without clearing; the other buffers are written only at
+  // the ports of the state's active vertices before being read.
+  std::vector<std::uint32_t> arc_stamp(dp.arc_count(), 0);
+  std::vector<std::uint32_t> vertex_stamp(dp.vertex_count(), 0);
+  std::vector<std::uint32_t> in_degree(ports);
+  std::vector<std::int64_t> distance(ports);
+  std::vector<std::uint32_t> active_ports;
+  std::vector<std::uint32_t> frontier;
+
+  const std::size_t places = cn.net().place_count();
+  std::vector<std::optional<double>> delays(places);
+  for (std::size_t s = 0; s < places; ++s) {
+    const std::uint32_t stamp = static_cast<std::uint32_t>(s) + 1;
+    const auto& arcs = cn.controlled_arcs(
+        petri::PlaceId(static_cast<petri::PlaceId::underlying_type>(s)));
+    // Active vertices: the endpoints of the state's arcs; the unit is
+    // idle otherwise and contributes nothing.
+    active_ports.clear();
+    auto activate = [&](dcf::VertexId v) {
+      if (vertex_stamp[v.index()] == stamp) return;
+      vertex_stamp[v.index()] = stamp;
+      for (dcf::PortId p : dp.input_ports(v)) active_ports.push_back(p.value());
+      for (dcf::PortId p : dp.output_ports(v)) {
+        active_ports.push_back(p.value());
+      }
+    };
+    for (dcf::ArcId a : arcs) {
+      arc_stamp[a.index()] = stamp;
+      activate(dp.arc_source_vertex(a));
+      activate(dp.arc_target_vertex(a));
+    }
+    for (const std::uint32_t p : active_ports) {
+      in_degree[p] = graph.static_in_degrees()[p];
+      distance[p] = weight[p];
+    }
+    for (dcf::ArcId a : arcs) ++in_degree[dp.arc_target(a).index()];
+
+    // Kahn's sort over the active ports, relaxing longest distances as
+    // each port leaves the frontier (its distance is final by then).
+    frontier.clear();
+    for (const std::uint32_t p : active_ports) {
+      if (in_degree[p] == 0) frontier.push_back(p);
+    }
+    std::size_t visited = 0;
+    std::int64_t best = 0;
+    while (!frontier.empty()) {
+      const std::uint32_t p = frontier.back();
+      frontier.pop_back();
+      ++visited;
+      best = std::max(best, distance[p]);
+      for (const dcf::PortEdge& e : graph.out_edges(p)) {
+        if (e.arc.valid() && arc_stamp[e.arc.index()] != stamp) continue;
+        distance[e.to] = std::max(distance[e.to], distance[p] + weight[e.to]);
+        if (--in_degree[e.to] == 0) frontier.push_back(e.to);
+      }
+    }
+    if (visited == active_ports.size()) {
+      delays[s] = static_cast<double>(best) / kScale;
+    }
+  }
+  return delays;
+}
+
 TimingReport estimate_cycle_time(const dcf::System& system,
                                  const ModuleLibrary& lib) {
-  const dcf::DataPath& dp = system.datapath();
   TimingReport report;
-  const double scale = 100.0;  // fixed-point ns for integer longest-path
-
-  for (petri::PlaceId s : system.control().net().places()) {
-    // Port-level DAG of the state's active subgraph, node weight = module
-    // delay of the producing operation; mux delay on multi-driven inputs.
-    graph::Digraph g(dp.port_count());
-    std::vector<std::int64_t> weight(dp.port_count(), 0);
-    std::vector<bool> active_vertex(dp.vertex_count(), false);
-    for (dcf::ArcId a : system.control().controlled_arcs(s)) {
-      g.add_edge(graph::NodeId(dp.arc_source(a).value()),
-                 graph::NodeId(dp.arc_target(a).value()));
-      active_vertex[dp.arc_source_vertex(a).index()] = true;
-      active_vertex[dp.arc_target_vertex(a).index()] = true;
-    }
-    for (dcf::VertexId v : dp.vertices()) {
-      if (!active_vertex[v.index()]) continue;  // unit idle in this state
-      for (dcf::PortId o : dp.output_ports(v)) {
-        const dcf::Operation& op = dp.operation(o);
-        weight[o.index()] = static_cast<std::int64_t>(
-            lib.module_for(op.code).delay * scale);
-        if (dcf::op_is_sequential(op.code)) continue;
-        const int arity = dcf::op_arity(op.code);
-        const auto& ins = dp.input_ports(v);
-        for (int k = 0; k < arity; ++k) {
-          g.add_edge(graph::NodeId(ins[static_cast<std::size_t>(k)].value()),
-                     graph::NodeId(o.value()));
-        }
-      }
-      for (dcf::PortId in : dp.input_ports(v)) {
-        if (dp.arcs_into(in).size() > 1) {
-          weight[in.index()] =
-              static_cast<std::int64_t>(lib.mux_delay() * scale);
-        }
-      }
-    }
-    std::int64_t best;
-    try {
-      best = graph::longest_path(g, weight).best;
-    } catch (const ModelError&) {
-      // Active combinational loop (improper design): treat as unbounded.
-      best = std::numeric_limits<std::int64_t>::max() / 2;
-    }
-    const double path_ns = static_cast<double>(best) / scale;
+  const std::vector<std::optional<double>> delays =
+      state_path_delays(system, lib);
+  for (std::size_t s = 0; s < delays.size(); ++s) {
+    // Active combinational loop (improper design): treat as unbounded.
+    const double path_ns = delays[s].value_or(
+        static_cast<double>(std::numeric_limits<std::int64_t>::max() / 2) /
+        kScale);
     if (path_ns > report.cycle_time) {
       report.cycle_time = path_ns;
-      report.critical_state = s;
+      report.critical_state =
+          petri::PlaceId(static_cast<petri::PlaceId::underlying_type>(s));
     }
   }
   return report;

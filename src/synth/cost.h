@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,15 @@ struct TimingReport {
 
 TimingReport estimate_cycle_time(const dcf::System& system,
                                  const ModuleLibrary& lib);
+
+/// Per control state (place order), the longest combinational path (ns)
+/// through the state's active subgraph: the arcs it controls plus the
+/// bindings of every vertex they touch, weighted by each output port's
+/// module delay and the mux delay of each multi-driven input port.
+/// nullopt marks a state whose active subgraph holds a combinational
+/// loop. The kernel behind estimate_cycle_time and state_delays.
+std::vector<std::optional<double>> state_path_delays(
+    const dcf::System& system, const ModuleLibrary& lib);
 
 struct PerformanceReport {
   double mean_cycles = 0;      ///< average over the sampled environments

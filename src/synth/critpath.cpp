@@ -6,55 +6,17 @@
 #include "graph/algorithms.h"
 #include "graph/digraph.h"
 #include "synth/cost.h"
-#include "util/error.h"
 #include "util/strings.h"
 
 namespace camad::synth {
 
 std::vector<double> state_delays(const dcf::System& system,
                                  const ModuleLibrary& lib) {
-  const dcf::DataPath& dp = system.datapath();
-  const petri::Net& net = system.control().net();
-  const double scale = 100.0;
-  std::vector<double> delays(net.place_count(), 0);
-
-  for (petri::PlaceId s : net.places()) {
-    graph::Digraph g(dp.port_count());
-    std::vector<std::int64_t> weight(dp.port_count(), 0);
-    std::vector<bool> active(dp.vertex_count(), false);
-    for (dcf::ArcId a : system.control().controlled_arcs(s)) {
-      g.add_edge(graph::NodeId(dp.arc_source(a).value()),
-                 graph::NodeId(dp.arc_target(a).value()));
-      active[dp.arc_source_vertex(a).index()] = true;
-      active[dp.arc_target_vertex(a).index()] = true;
-    }
-    for (dcf::VertexId v : dp.vertices()) {
-      if (!active[v.index()]) continue;
-      for (dcf::PortId o : dp.output_ports(v)) {
-        const dcf::Operation& op = dp.operation(o);
-        weight[o.index()] = static_cast<std::int64_t>(
-            lib.module_for(op.code).delay * scale);
-        if (dcf::op_is_sequential(op.code)) continue;
-        const int arity = dcf::op_arity(op.code);
-        const auto& ins = dp.input_ports(v);
-        for (int k = 0; k < arity; ++k) {
-          g.add_edge(graph::NodeId(ins[static_cast<std::size_t>(k)].value()),
-                     graph::NodeId(o.value()));
-        }
-      }
-      for (dcf::PortId in : dp.input_ports(v)) {
-        if (dp.arcs_into(in).size() > 1) {
-          weight[in.index()] =
-              static_cast<std::int64_t>(lib.mux_delay() * scale);
-        }
-      }
-    }
-    try {
-      delays[s.index()] =
-          static_cast<double>(graph::longest_path(g, weight).best) / scale;
-    } catch (const ModelError&) {
-      delays[s.index()] = 1e9;  // active combinational loop
-    }
+  const std::vector<std::optional<double>> paths =
+      state_path_delays(system, lib);
+  std::vector<double> delays(paths.size(), 0);
+  for (std::size_t s = 0; s < paths.size(); ++s) {
+    delays[s] = paths[s].value_or(1e9);  // 1e9: active combinational loop
   }
   return delays;
 }

@@ -158,4 +158,35 @@ inline dcf::System make_gcd() {
   return b.build("gcd");
 }
 
+/// Improper design whose second marking closes a combinational cycle:
+///   S0:    r := x
+///   Sloop: a1 := a2 + r and a2 := a1 + r, both arcs open at once
+///   S2:    y := r
+/// Control: S0 -> Sloop -> S2 -> (end). Every state except Sloop is
+/// acyclic, so Sloop is the only state with an active loop.
+inline dcf::System make_comb_loop() {
+  dcf::SystemBuilder b;
+  const auto x = b.input("x");
+  const auto y = b.output("y");
+  const auto r = b.reg("r");
+  const auto a1 = b.unit("a1", dcf::OpCode::kAdd);
+  const auto a2 = b.unit("a2", dcf::OpCode::kAdd);
+
+  const auto s0 = b.state("S0", /*initial=*/true);
+  const auto loop = b.state("Sloop");
+  const auto s2 = b.state("S2");
+  b.connect(x, r, 0, {s0});
+  b.arc(b.out(a2), b.in(a1, 0), {loop});
+  b.arc(b.out(r), b.in(a1, 1), {loop});
+  b.arc(b.out(a1), b.in(a2, 0), {loop});
+  b.arc(b.out(r), b.in(a2, 1), {loop});
+  b.connect(r, y, 0, {s2});
+
+  b.chain(s0, loop, "T0");
+  b.chain(loop, s2, "T1");
+  const auto t_end = b.transition("Tend");
+  b.flow(s2, t_end);
+  return b.build("comb_loop");
+}
+
 }  // namespace camad::test

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "dcf/builder.h"
+#include "dcf/portgraph.h"
 #include "fixtures.h"
 #include "sim/batch.h"
+#include "sim/plan.h"
 #include "sim/simulator.h"
 #include "synth/compile.h"
 #include "synth/designs.h"
@@ -143,6 +145,29 @@ dcf::System multi_driver_design() {
   return b.build("multidriver");
 }
 
+// One marking with two multi-driven input ports. Kahn's LIFO frontier
+// reaches r2's input before r1's although r1's has the lower port id, so
+// the violation order pins the topological order, not a port scan.
+dcf::System double_conflict_design() {
+  dcf::SystemBuilder b;
+  const auto r1 = b.reg("r1");
+  const auto r2 = b.reg("r2");
+  const auto c1 = b.constant("c1", 1);
+  const auto c2 = b.constant("c2", 2);
+  const auto c3 = b.constant("c3", 3);
+  const auto c4 = b.constant("c4", 4);
+  const auto o = b.output("o");
+  const auto s0 = b.state("S0", true);
+  const auto s1 = b.state("S1");
+  b.connect(c1, r1, 0, {s0});
+  b.connect(c2, r1, 0, {s0});  // conflict 1: r1.in[0]
+  b.connect(c3, r2, 0, {s0});
+  b.connect(c4, r2, 0, {s0});  // conflict 2: r2.in[0]
+  b.chain(s0, s1, "Ta");
+  b.connect(r1, o, 0, {s1});
+  return b.build("doubleconflict");
+}
+
 TEST(SimEngineDifferential, ViolationPathsMatch) {
   for (const dcf::System& sys : {improper_design(), multi_driver_design()}) {
     for (const sim::FiringPolicy policy : kPolicies) {
@@ -162,6 +187,48 @@ TEST(SimEngineDifferential, ViolationPathsMatch) {
       sim::FiringPolicy::kMaximalStep, 1);
   ASSERT_FALSE(r.violations.empty());
   EXPECT_NE(r.violations.front().find("driven by"), std::string::npos);
+}
+
+TEST(SimEngineDifferential, DriveConflictsFollowTopologicalOrder) {
+  const dcf::System sys = double_conflict_design();
+  for (const sim::FiringPolicy policy : kPolicies) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    expect_identical_results(
+        run_engine(sys, sim::SimEngine::kCompiled, policy, 1),
+        run_engine(sys, sim::SimEngine::kReference, policy, 1));
+  }
+  const dcf::DataPath& dp = sys.datapath();
+  const dcf::PortId r1_in = dp.input_ports(dp.find_vertex("r1"))[0];
+  const dcf::PortId r2_in = dp.input_ports(dp.find_vertex("r2"))[0];
+  ASSERT_LT(r1_in.value(), r2_in.value());
+  const sim::SimResult r = run_engine(sys, sim::SimEngine::kCompiled,
+                                      sim::FiringPolicy::kMaximalStep, 1);
+  const std::string tail = " driven by 2 simultaneously active arcs";
+  const std::vector<std::string> expected = {
+      "input port " + dp.name(r2_in) + tail,
+      "input port " + dp.name(r1_in) + tail,
+  };
+  EXPECT_EQ(r.violations, expected);
+}
+
+// A marking that closes a combinational cycle stops both engines at the
+// same cycle with the same message.
+TEST(SimEngineDifferential, ActiveCombinationalLoopStopsBothEngines) {
+  const dcf::System sys = test::make_comb_loop();
+  for (const sim::FiringPolicy policy : kPolicies) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    const sim::SimResult compiled =
+        run_engine(sys, sim::SimEngine::kCompiled, policy, 1);
+    const sim::SimResult reference =
+        run_engine(sys, sim::SimEngine::kReference, policy, 1);
+    expect_identical_results(compiled, reference);
+    EXPECT_EQ(compiled.cycles, 2u);  // S0, then the looping Sloop
+    EXPECT_FALSE(compiled.terminated);
+    EXPECT_FALSE(compiled.deadlocked);
+    EXPECT_EQ(compiled.violations,
+              std::vector<std::string>{
+                  "active combinational loop during evaluation"});
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -260,6 +327,28 @@ TEST(SimEnginePlanCache, LruCapBoundsResidencyWithoutChangingObservables) {
   EXPECT_GT(small.stats.plan_cache_evictions, 0u);
   EXPECT_LE(small.stats.plan_cache_size, 2u);
   expect_identical_results(full, small);
+}
+
+// sim.plan_cache.bytes counts a plan's conflict messages with their
+// std::string slots, not only their character buffers.
+TEST(SimEnginePlanCache, ApproxBytesCountsDriveConflictSlots) {
+  const dcf::System sys = multi_driver_design();
+  const dcf::PortGraph graph(sys.datapath());
+  sim::CompileScratch scratch;
+  DynamicBitset marked(sys.control().net().place_count());
+  marked.set(0);
+  marked.set(1);  // S0 and S1: both drive r.in[0]
+  sim::ConfigPlan plan = sim::compile_plan(sys, graph, marked, scratch);
+  ASSERT_EQ(plan.drive_conflicts.size(), 1u);
+
+  std::size_t conflict_bytes =
+      plan.drive_conflicts.capacity() * sizeof(std::string);
+  for (const std::string& conflict : plan.drive_conflicts) {
+    conflict_bytes += conflict.capacity();
+  }
+  const std::size_t with_conflicts = plan.approx_bytes();
+  plan.drive_conflicts = std::vector<std::string>();  // releases capacity
+  EXPECT_EQ(with_conflicts - plan.approx_bytes(), conflict_bytes);
 }
 
 TEST(SimEnginePlanCache, PersistentSimulatorReusesPlans) {
