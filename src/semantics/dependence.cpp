@@ -1,6 +1,6 @@
 #include "semantics/dependence.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 namespace camad::semantics {
@@ -12,83 +12,80 @@ using dcf::VertexId;
 using petri::PlaceId;
 using petri::TransitionId;
 
-DynamicBitset to_bitset(const std::vector<VertexId>& vertices,
-                        std::size_t n) {
-  DynamicBitset out(n);
-  for (VertexId v : vertices) out.set(v.index());
-  return out;
-}
-
 }  // namespace
-
-std::vector<DynamicBitset> DependenceRelation::sequential_support(
-    const dcf::System& system) {
-  const dcf::DataPath& dp = system.datapath();
-  const std::size_t ports = dp.port_count();
-  const std::size_t verts = dp.vertex_count();
-
-  // Iterate to fixpoint: support(output port of sequential vertex) =
-  // {owner}; support(COM output) = union over its input ports; support
-  // (input port) = union over sources of *all* incoming arcs
-  // (conservative — activity is control-dependent).
-  std::vector<DynamicBitset> support(ports, DynamicBitset(verts));
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (VertexId v : dp.vertices()) {
-      for (PortId o : dp.output_ports(v)) {
-        DynamicBitset next(verts);
-        if (dcf::op_is_sequential(dp.operation(o).code)) {
-          next.set(v.index());
-        } else {
-          const int arity = dcf::op_arity(dp.operation(o).code);
-          const auto& ins = dp.input_ports(v);
-          for (int k = 0; k < arity; ++k) {
-            const PortId in = ins[static_cast<std::size_t>(k)];
-            for (ArcId a : dp.arcs_into(in)) {
-              next |= support[dp.arc_source(a).index()];
-            }
-          }
-        }
-        if (!(next == support[o.index()])) {
-          support[o.index()] = std::move(next);
-          changed = true;
-        }
-      }
-    }
-  }
-  return support;
-}
 
 DependenceRelation::DependenceRelation(const dcf::System& system,
                                        const DependenceOptions& options) {
-  const std::size_t n = system.control().net().place_count();
-  const std::size_t verts = system.datapath().vertex_count();
-  const petri::Net& net = system.control().net();
+  const dcf::DataPath& dp = system.datapath();
+  const dcf::ControlNet& cn = system.control();
+  const petri::Net& net = cn.net();
+  const std::size_t n = net.place_count();
+  const std::size_t verts = dp.vertex_count();
 
   direct_.assign(n, DynamicBitset(n));
 
-  std::vector<DynamicBitset> result(n), domain(n);
-  std::vector<bool> external(n);
+  // R(S), dom(S) and clause (e)'s environment flag, straight from each
+  // state's controlled arcs: an arc puts its source vertex in dom(S) and
+  // its target in cod(S), and R(S) keeps the sequential targets.
+  std::vector<bool> sequential(verts);
+  for (VertexId v : dp.vertices()) {
+    sequential[v.index()] = dp.is_sequential_vertex(v);
+  }
+  std::vector<DynamicBitset> result(n, DynamicBitset(verts));
+  std::vector<DynamicBitset> domain(n, DynamicBitset(verts));
+  std::vector<bool> external(n, false);
   for (PlaceId s : net.places()) {
-    result[s.index()] = to_bitset(system.result_set(s), verts);
-    domain[s.index()] = to_bitset(system.domain(s), verts);
-    external[s.index()] = system.touches_environment(s);
+    for (ArcId a : cn.controlled_arcs(s)) {
+      const VertexId target = dp.arc_target_vertex(a);
+      if (sequential[target.index()]) result[s.index()].set(target.index());
+      domain[s.index()].set(dp.arc_source_vertex(a).index());
+      if (dp.is_external_arc(a)) external[s.index()] = true;
+    }
   }
 
-  // Clause (d) support: for each state, the union of sequential supports
-  // of guard ports on adjacent transitions.
+  // Clause (d) support: for each state, the sequential vertices that the
+  // guards of its adjacent transitions combinationally read. A guard's
+  // support is found by a backward search from its port: a sequential
+  // output contributes its owner and stops the search; a combinational
+  // output continues into the sources of every arc into its operand
+  // ports (conservative — activity is control-dependent). Input ports
+  // contribute nothing. Only the cone behind the guards is visited.
   std::vector<DynamicBitset> guard_support(n, DynamicBitset(verts));
   if (options.clause_d) {
-    const auto port_support = sequential_support(system);
+    std::vector<std::uint32_t> visited(dp.port_count(), 0);  // stamp = t + 1
+    std::vector<PortId> stack;
+    DynamicBitset support(verts);
     for (TransitionId t : net.transitions()) {
-      DynamicBitset s(verts);
-      for (PortId g : system.control().guards(t)) {
-        s |= port_support[g.index()];
+      if (cn.guards(t).empty()) continue;
+      const auto stamp = static_cast<std::uint32_t>(t.index() + 1);
+      const auto visit = [&](PortId p) {
+        if (dp.direction(p) != dcf::PortDir::kOut) return;
+        if (visited[p.index()] == stamp) return;
+        visited[p.index()] = stamp;
+        stack.push_back(p);
+      };
+      support.reset_all();
+      for (PortId g : cn.guards(t)) visit(g);
+      while (!stack.empty()) {
+        const PortId o = stack.back();
+        stack.pop_back();
+        const VertexId v = dp.owner(o);
+        const dcf::OpCode code = dp.operation(o).code;
+        if (dcf::op_is_sequential(code)) {
+          support.set(v.index());
+          continue;
+        }
+        const int arity = dcf::op_arity(code);
+        const auto& ins = dp.input_ports(v);
+        for (int k = 0; k < arity; ++k) {
+          for (ArcId a : dp.arcs_into(ins[static_cast<std::size_t>(k)])) {
+            visit(dp.arc_source(a));
+          }
+        }
       }
-      if (s.none()) continue;
-      for (PlaceId p : net.pre(t)) guard_support[p.index()] |= s;
-      for (PlaceId p : net.post(t)) guard_support[p.index()] |= s;
+      if (support.none()) continue;
+      for (PlaceId p : net.pre(t)) guard_support[p.index()] |= support;
+      for (PlaceId p : net.post(t)) guard_support[p.index()] |= support;
     }
   }
 

@@ -58,11 +58,6 @@ class DependenceRelation {
                          const DependenceRelation&) = default;
 
  private:
-  /// Sequential vertices (registers / environment) a port combinationally
-  /// depends on, traced backwards through every arc.
-  static std::vector<DynamicBitset> sequential_support(
-      const dcf::System& system);
-
   std::vector<DynamicBitset> direct_;     // state -> states, symmetric
   std::vector<std::size_t> component_;    // union-find result per state
 };

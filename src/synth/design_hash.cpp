@@ -1,8 +1,11 @@
 #include "synth/design_hash.h"
 
 #include <algorithm>
+#include <bit>
 #include <string_view>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace camad::synth {
 namespace {
@@ -55,10 +58,25 @@ enum : std::uint64_t {
   kEdgeGuardTransitionToPort = 14,
 };
 
+// One typed union-graph edge, in the flat list build() collects
+// before the counting sort groups edges by source node.
+struct Edge {
+  std::uint32_t from = 0;
+  std::uint32_t type = 0;
+  std::uint32_t to = 0;
+};
+
+// A CSR neighbour: node n's typed neighbours are
+// neighbours[offsets[n] .. offsets[n + 1]).
+struct Neighbour {
+  std::uint32_t type = 0;
+  std::uint32_t node = 0;
+};
+
 struct UnionGraph {
   std::vector<std::uint64_t> labels;
-  // Typed adjacency: adjacency[n] lists (edge type, neighbour).
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint32_t>>> adjacency;
+  std::vector<std::uint32_t> offsets;
+  std::vector<Neighbour> neighbours;
 };
 
 UnionGraph build(const dcf::System& system) {
@@ -91,10 +109,13 @@ UnionGraph build(const dcf::System& system) {
 
   UnionGraph g;
   g.labels.assign(total, 0);
-  g.adjacency.resize(total);
+  // About two edges per port, six per arc (its endpoints and the state
+  // that controls it) and four per transition (one pre, one post place).
+  std::vector<Edge> edges;
+  edges.reserve(2 * np + 6 * na + 4 * nt);
   const auto edge = [&](std::uint64_t type, std::uint32_t from,
                         std::uint32_t to) {
-    g.adjacency[from].emplace_back(type, to);
+    edges.push_back({from, static_cast<std::uint32_t>(type), to});
   };
 
   for (const dcf::VertexId v : dp.vertices()) {
@@ -165,41 +186,82 @@ UnionGraph build(const dcf::System& system) {
       edge(kEdgeGuardTransitionToPort, transition_node(t), port_node(p));
     }
   }
+
+  // Counting sort by source node into CSR. Each neighbourhood is sorted
+  // by value every round, so the order within a node does not matter.
+  g.offsets.assign(total + 1, 0);
+  for (const Edge& e : edges) ++g.offsets[e.from + 1];
+  for (std::size_t n = 0; n < total; ++n) g.offsets[n + 1] += g.offsets[n];
+  std::vector<std::uint32_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
+  g.neighbours.resize(edges.size());
+  for (const Edge& e : edges) g.neighbours[cursor[e.from]++] = {e.type, e.to};
   return g;
 }
 
-std::size_t distinct_count(std::vector<std::uint64_t> labels) {
-  std::sort(labels.begin(), labels.end());
-  return static_cast<std::size_t>(
-      std::unique(labels.begin(), labels.end()) - labels.begin());
-}
+// Exact count of distinct labels: one pass of linear probing over a
+// power-of-two table at most half full. Labels are mix() outputs, so
+// their low bits index the table directly. Zero marks an empty slot, so
+// a zero label is counted on the side.
+class DistinctCounter {
+ public:
+  explicit DistinctCounter(std::size_t n)
+      : slots_(std::bit_ceil(std::max<std::size_t>(2 * n, 2)), 0) {}
+
+  std::size_t count(const std::vector<std::uint64_t>& labels) {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    const std::size_t mask = slots_.size() - 1;
+    bool zero = false;
+    std::size_t distinct = 0;
+    for (const std::uint64_t label : labels) {
+      if (label == 0) {
+        zero = true;
+        continue;
+      }
+      std::size_t i = static_cast<std::size_t>(label) & mask;
+      while (slots_[i] != 0 && slots_[i] != label) i = (i + 1) & mask;
+      if (slots_[i] == 0) {
+        slots_[i] = label;
+        ++distinct;
+      }
+    }
+    return distinct + (zero ? 1 : 0);
+  }
+
+ private:
+  std::vector<std::uint64_t> slots_;
+};
 
 }  // namespace
 
 std::uint64_t design_hash(const dcf::System& system) {
+  const obs::ObsSpan span("synth.design_hash");
   UnionGraph g = build(system);
   const std::size_t total = g.labels.size();
   if (total == 0) return mix(0);
 
   // Refine until the label partition stops splitting. The stop rule
   // (distinct-label count, itself renumbering-invariant) bounds rounds by
-  // the node count; in practice a handful suffice.
+  // the node count; in practice a handful suffice. Every neighbourhood
+  // is mixed and sorted in its own slice of one flat array.
   std::vector<std::uint64_t> next(total);
-  std::vector<std::uint64_t> neighbourhood;
-  std::size_t distinct = distinct_count(g.labels);
+  std::vector<std::uint64_t> mixed(g.neighbours.size());
+  DistinctCounter counter(total);
+  std::size_t distinct = counter.count(g.labels);
   for (std::size_t round = 0; round < total; ++round) {
     for (std::size_t n = 0; n < total; ++n) {
-      neighbourhood.clear();
-      for (const auto& [type, nbr] : g.adjacency[n]) {
-        neighbourhood.push_back(combine(type, g.labels[nbr]));
+      std::uint64_t* const first = mixed.data() + g.offsets[n];
+      std::uint64_t* const last = mixed.data() + g.offsets[n + 1];
+      const Neighbour* nbr = g.neighbours.data() + g.offsets[n];
+      for (std::uint64_t* v = first; v != last; ++v, ++nbr) {
+        *v = combine(nbr->type, g.labels[nbr->node]);
       }
-      std::sort(neighbourhood.begin(), neighbourhood.end());
+      std::sort(first, last);
       std::uint64_t h = mix(g.labels[n]);
-      for (const std::uint64_t v : neighbourhood) h = combine(h, v);
+      for (const std::uint64_t* v = first; v != last; ++v) h = combine(h, *v);
       next[n] = h;
     }
     g.labels.swap(next);
-    const std::size_t refined = distinct_count(g.labels);
+    const std::size_t refined = counter.count(g.labels);
     if (refined <= distinct) break;
     distinct = refined;
   }

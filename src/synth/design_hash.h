@@ -24,6 +24,14 @@
 // seed. tests/optimizer_test.cpp sweeps 500 generated designs asserting
 // hash-equal ⇒ differential-equivalence-equal and reports the observed
 // collision rate.
+//
+// Cost: the Pareto search hashes every successor, so one call builds the
+// union graph as CSR in buffers local to the call, mixes and sorts each
+// neighbourhood in place in one flat array, and takes each round's
+// distinct-label count with an exact open-addressing pass. None of this
+// changes a value: the hash is the one camadd design ids and frontier
+// JSON `hash` fields have always carried, and tests/optimizer_test.cpp
+// pins it on the bench corpus and on generated programs.
 #pragma once
 
 #include <cstdint>

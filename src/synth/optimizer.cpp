@@ -674,17 +674,20 @@ ParetoResult optimize_pareto(const dcf::System& serial,
     for (std::size_t k = 0; k < fresh.size(); ++k) {
       const std::size_t j = fresh[k];
       const Action& action = actions[j];
+      const Metrics& metrics = measured[k].metrics;
       transform::Provenance provenance = beam[action.parent].provenance;
       provenance.push_back({action_pass_name(action.kind), action.detail});
-      if (frontier.insert({*expanded[j].master, measured[k].scheduled,
-                           measured[k].metrics, provenance,
-                           expanded[j].hash})) {
+      // insert() rejects exactly the weakly dominated points, so test
+      // that first and copy the master only for a point that enters.
+      if (!frontier.dominates(metrics.area, metrics.time_ns)) {
+        frontier.insert({*expanded[j].master,
+                         std::move(measured[k].scheduled), metrics,
+                         provenance, expanded[j].hash});
         inserted_any = true;
         archive[expanded[j].hash] = make_child(j, provenance);
       }
-      survivors.push_back({j, norm(measured[k].metrics.area, initial.area),
-                           norm(measured[k].metrics.time_ns,
-                                initial.time_ns),
+      survivors.push_back({j, norm(metrics.area, initial.area),
+                           norm(metrics.time_ns, initial.time_ns),
                            std::move(provenance)});
     }
     // Drop evicted designs from the archive: only frontier residents

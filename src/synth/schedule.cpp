@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/bitset.h"
 #include "util/strings.h"
 
 namespace camad::synth {
@@ -11,22 +12,6 @@ namespace {
 using dcf::OpCode;
 using dcf::VertexId;
 using petri::PlaceId;
-
-bool association_overlap(const dcf::System& system, PlaceId a, PlaceId b) {
-  const auto& arcs_a = system.control().controlled_arcs(a);
-  const auto& arcs_b = system.control().controlled_arcs(b);
-  for (dcf::ArcId arc : arcs_a) {
-    if (std::find(arcs_b.begin(), arcs_b.end(), arc) != arcs_b.end()) {
-      return true;
-    }
-  }
-  const auto va = system.associated_vertices(a);
-  const auto vb = system.associated_vertices(b);
-  for (VertexId v : va) {
-    if (std::find(vb.begin(), vb.end(), v) != vb.end()) return true;
-  }
-  return false;
-}
 
 /// Functional-unit demand of one state: op code -> number of distinct
 /// combinatorial units it activates.
@@ -63,13 +48,16 @@ ScheduleAnalysis analyze_schedules(const dcf::System& system,
     // Dependence DAG over segment-local indices.
     std::vector<std::vector<std::size_t>> preds(m);
     std::vector<std::vector<std::size_t>> succs(m);
+    std::vector<DynamicBitset> associated;
+    if (options.respect_resource_conflicts) {
+      associated = transform::association_sets(system, segment.states);
+    }
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = i + 1; j < m; ++j) {
         const bool edge =
             dep.direct(segment.states[i], segment.states[j]) ||
             (options.respect_resource_conflicts &&
-             association_overlap(system, segment.states[i],
-                                 segment.states[j]));
+             associated[i].intersects(associated[j]));
         if (edge) {
           preds[j].push_back(i);
           succs[i].push_back(j);

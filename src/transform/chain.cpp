@@ -1,16 +1,17 @@
 #include "transform/chain.h"
 
-#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "obs/trace.h"
+#include "transform/parallelize.h"
+#include "util/bitset.h"
 #include "util/error.h"
 
 namespace camad::transform {
 namespace {
 
 using dcf::ArcId;
-using dcf::VertexId;
 using petri::PlaceId;
 using petri::TransitionId;
 
@@ -30,19 +31,8 @@ std::optional<std::pair<TransitionId, PlaceId>> linear_successor(
 }
 
 bool association_disjoint(const dcf::System& system, PlaceId a, PlaceId b) {
-  const auto& arcs_a = system.control().controlled_arcs(a);
-  const auto& arcs_b = system.control().controlled_arcs(b);
-  for (ArcId arc : arcs_a) {
-    if (std::find(arcs_b.begin(), arcs_b.end(), arc) != arcs_b.end()) {
-      return false;
-    }
-  }
-  const auto va = system.associated_vertices(a);
-  const auto vb = system.associated_vertices(b);
-  for (VertexId v : va) {
-    if (std::find(vb.begin(), vb.end(), v) != vb.end()) return false;
-  }
-  return true;
+  const std::vector<DynamicBitset> sets = association_sets(system, {a, b});
+  return !sets[0].intersects(sets[1]);
 }
 
 /// Merges s2 into s1 (dropping the linking transition) and returns the

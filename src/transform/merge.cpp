@@ -165,6 +165,7 @@ dcf::System merge_vertices(const dcf::System& system, VertexId vi,
 dcf::System merge_vertices(const dcf::System& system, VertexId vi,
                            VertexId vj,
                            const semantics::AnalysisCache& cache) {
+  const obs::ObsSpan span("transform.merge");
   const MergeCheck check = can_merge(system, vi, vj, cache);
   if (!check.legal) {
     throw TransformError("merge_vertices: " + check.why);

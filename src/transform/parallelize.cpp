@@ -12,7 +12,6 @@ namespace camad::transform {
 namespace {
 
 using dcf::ArcId;
-using dcf::VertexId;
 using petri::PlaceId;
 using petri::TransitionId;
 
@@ -85,23 +84,6 @@ std::vector<Segment> find_segments(const dcf::System& system,
   return segments;
 }
 
-/// Association set (arcs + associated vertices) overlap — Def 3.2 rule 1.
-bool resource_conflict(const dcf::System& system, PlaceId a, PlaceId b) {
-  const auto& arcs_a = system.control().controlled_arcs(a);
-  const auto& arcs_b = system.control().controlled_arcs(b);
-  for (ArcId arc : arcs_a) {
-    if (std::find(arcs_b.begin(), arcs_b.end(), arc) != arcs_b.end()) {
-      return true;
-    }
-  }
-  const auto va = system.associated_vertices(a);
-  const auto vb = system.associated_vertices(b);
-  for (VertexId v : va) {
-    if (std::find(vb.begin(), vb.end(), v) != vb.end()) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 dcf::System parallelize(const dcf::System& system,
@@ -143,11 +125,17 @@ dcf::System parallelize(const dcf::System& system,
       return options.strict_transitive ? dep.transitive(a, b)
                                        : dep.direct(a, b);
     };
+    // Def 3.2 rule 1: states whose association sets overlap must stay
+    // ordered.
+    std::vector<DynamicBitset> associated;
+    if (options.respect_resource_conflicts) {
+      associated = association_sets(system, seg.states);
+    }
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = i + 1; j < m; ++j) {
         if (dependent(seg.states[i], seg.states[j]) ||
             (options.respect_resource_conflicts &&
-             resource_conflict(system, seg.states[i], seg.states[j]))) {
+             associated[i].intersects(associated[j]))) {
           edge[i].set(j);
         }
       }
@@ -339,6 +327,19 @@ dcf::System parallelize(const dcf::System& system,
 std::vector<LinearSegment> find_linear_segments(const dcf::System& system,
                                                 std::size_t min_states) {
   return find_segments(system, min_states);
+}
+
+std::vector<DynamicBitset> association_sets(
+    const dcf::System& system, const std::vector<PlaceId>& states) {
+  const dcf::DataPath& dp = system.datapath();
+  std::vector<DynamicBitset> sets(states.size(),
+                                  DynamicBitset(dp.vertex_count()));
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    for (ArcId a : system.control().controlled_arcs(states[i])) {
+      sets[i].set(dp.arc_target_vertex(a).index());
+    }
+  }
+  return sets;
 }
 
 }  // namespace camad::transform

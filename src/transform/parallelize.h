@@ -27,6 +27,7 @@
 #include "dcf/system.h"
 #include "semantics/analysis.h"
 #include "semantics/dependence.h"
+#include "util/bitset.h"
 
 namespace camad::transform {
 
@@ -76,5 +77,13 @@ struct LinearSegment {
 /// All maximal linear segments with at least `min_states` states.
 std::vector<LinearSegment> find_linear_segments(const dcf::System& system,
                                                 std::size_t min_states = 2);
+
+/// Def 3.2 rule 1 over a run of states: element i holds the vertices
+/// states[i] is associated with (the targets of its controlled arcs).
+/// Two states' association sets overlap exactly when their elements
+/// intersect, since a shared controlled arc implies a shared target
+/// vertex.
+std::vector<DynamicBitset> association_sets(
+    const dcf::System& system, const std::vector<petri::PlaceId>& states);
 
 }  // namespace camad::transform
