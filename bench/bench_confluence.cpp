@@ -36,7 +36,6 @@ semantics::EventStructure run(const dcf::System& sys,
   sim::SimOptions options;
   options.policy = policy;
   options.seed = seed;
-  options.record_cycles = false;
   const sim::SimResult result = sim::simulate(sys, env, options);
   return semantics::EventStructure::extract(sys, result.trace);
 }
@@ -55,7 +54,6 @@ double agreement(const dcf::System& sys) {
       job.environment = sim::Environment::random_for(sys, 23, 64, 1, 20);
       job.options.policy = policy;
       job.options.seed = seed;
-      job.options.record_cycles = false;
       runs.push_back(std::move(job));
     }
   }

@@ -43,9 +43,7 @@ std::size_t fu_count(const dcf::System& sys) {
 
 std::uint64_t cycles_of(const dcf::System& sys, const std::string& name) {
   sim::Environment env = bench::fixed_environment(sys, name);
-  sim::SimOptions options;
-  options.record_cycles = false;
-  return sim::simulate(sys, env, options).cycles;
+  return sim::simulate(sys, env).cycles;
 }
 
 /// merge_all but preferring the pair with the largest shared-vertex area.

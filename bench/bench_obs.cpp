@@ -56,11 +56,9 @@ double measure_cycles_per_second(const dcf::System& sys,
     session->activate();
   }
   sim::Environment env = bench::fixed_environment(sys, name);
-  sim::SimOptions options;
-  options.record_cycles = false;
   sim::Simulator simulator(sys);
   env.rewind();
-  simulator.run(env, options);  // warm up: compile plans
+  simulator.run(env);  // warm up: compile plans
 
   using clock = std::chrono::steady_clock;
   std::uint64_t cycles = 0;
@@ -70,7 +68,7 @@ double measure_cycles_per_second(const dcf::System& sys,
   };
   do {
     env.rewind();
-    cycles += simulator.run(env, options).cycles;
+    cycles += simulator.run(env).cycles;
   } while (elapsed() < 0.2);
   const double rate = static_cast<double>(cycles) / elapsed();
   if (session) session->deactivate();
@@ -86,13 +84,11 @@ void BM_simulate_obs(benchmark::State& state, const std::string& name,
     session->activate();
   }
   sim::Environment env = bench::fixed_environment(sys, name);
-  sim::SimOptions options;
-  options.record_cycles = false;
   sim::Simulator simulator(sys);
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     env.rewind();
-    cycles += simulator.run(env, options).cycles;
+    cycles += simulator.run(env).cycles;
   }
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);

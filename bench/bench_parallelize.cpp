@@ -29,9 +29,7 @@ namespace {
 
 std::uint64_t cycles_of(const dcf::System& sys, const std::string& name) {
   sim::Environment env = bench::fixed_environment(sys, name);
-  sim::SimOptions options;
-  options.record_cycles = false;
-  const sim::SimResult result = sim::simulate(sys, env, options);
+  const sim::SimResult result = sim::simulate(sys, env);
   if (!result.terminated) return 0;
   return result.cycles;
 }

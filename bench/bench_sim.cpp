@@ -44,12 +44,10 @@ void print_table(const std::vector<bench::BenchDesign>& designs) {
   Table table({"design", "states", "arcs", "cycles/run", "activity"});
   for (const bench::BenchDesign& d : designs) {
     sim::Environment env = bench::fixed_environment(d.system, d.name);
-    sim::SimOptions options;
-    options.record_cycles = false;
     sim::Simulator simulator(d.system);
-    simulator.run(env, options);  // warm: snapshots populated
+    simulator.run(env);  // warm: snapshots populated
     env.rewind();
-    const sim::SimResult result = simulator.run(env, options);
+    const sim::SimResult result = simulator.run(env);
     table.add_row({d.name,
                    std::to_string(d.system.control().net().place_count()),
                    std::to_string(d.system.datapath().arc_count()),
@@ -64,12 +62,10 @@ void print_table(const std::vector<bench::BenchDesign>& designs) {
 void BM_simulate(benchmark::State& state, const bench::BenchDesign* d) {
   sim::Simulator simulator(d->system);
   sim::Environment env = bench::fixed_environment(d->system, d->name);
-  sim::SimOptions options;
-  options.record_cycles = false;
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     env.rewind();
-    cycles += simulator.run(env, options).cycles;
+    cycles += simulator.run(env).cycles;
   }
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
@@ -79,7 +75,6 @@ void BM_simulate_reference(benchmark::State& state,
                            const bench::BenchDesign* d) {
   sim::Environment env = bench::fixed_environment(d->system, d->name);
   sim::SimOptions options;
-  options.record_cycles = false;
   options.engine = sim::SimEngine::kReference;
   std::uint64_t cycles = 0;
   for (auto _ : state) {
@@ -92,24 +87,20 @@ void BM_simulate_reference(benchmark::State& state,
 
 void BM_simulate_cold(benchmark::State& state, const bench::BenchDesign* d) {
   sim::Environment env = bench::fixed_environment(d->system, d->name);
-  sim::SimOptions options;
-  options.record_cycles = false;
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     env.rewind();
-    cycles += sim::simulate(d->system, env, options).cycles;  // fresh engine
+    cycles += sim::simulate(d->system, env).cycles;  // fresh engine
   }
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 
 void BM_simulate_batch(benchmark::State& state, const bench::BenchDesign* d) {
-  sim::SimOptions options;
-  options.record_cycles = false;
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     const auto results =
-        sim::simulate_batch_seeds(d->system, 1, 16, 64, options, 0, 1, 20);
+        sim::simulate_batch_seeds(d->system, 1, 16, 64, {}, 0, 1, 20);
     for (const sim::SimResult& r : results) cycles += r.cycles;
   }
   state.counters["cycles/s"] = benchmark::Counter(
@@ -128,9 +119,7 @@ void BM_simulate_random(benchmark::State& state) {
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     sim::Environment env = sim::Environment::random_for(sys, 5, 64, 1, 20);
-    sim::SimOptions sim_options;
-    sim_options.record_cycles = false;
-    cycles += simulator.run(env, sim_options).cycles;
+    cycles += simulator.run(env).cycles;
   }
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
@@ -164,7 +153,6 @@ double measure_cycles_per_second(const dcf::System& sys,
                                  sim::SimEngine engine) {
   sim::Environment env = bench::fixed_environment(sys, name);
   sim::SimOptions options;
-  options.record_cycles = false;
   options.engine = engine;
   sim::Simulator simulator(sys);
   // Warm up (compile plans / memoize orders / populate snapshots).
@@ -185,14 +173,11 @@ struct ColdRuns {
 };
 ColdRuns measure_cold(const dcf::System& sys, const std::string& name) {
   sim::Environment env = bench::fixed_environment(sys, name);
-  sim::SimOptions options;
-  options.record_cycles = false;
   ColdRuns cold;
-  cold.plan_compiles =
-      sim::simulate(sys, env, options).stats.plan_cache_misses;
+  cold.plan_compiles = sim::simulate(sys, env).stats.plan_cache_misses;
   cold.cycles_per_second = cycles_per_second([&] {
     env.rewind();
-    return sim::simulate(sys, env, options).cycles;  // fresh engine
+    return sim::simulate(sys, env).cycles;  // fresh engine
   });
   return cold;
 }
@@ -201,21 +186,17 @@ ColdRuns measure_cold(const dcf::System& sys, const std::string& name) {
 /// factor the JSON records per design.
 sim::SimStats steady_stats(const dcf::System& sys, const std::string& name) {
   sim::Environment env = bench::fixed_environment(sys, name);
-  sim::SimOptions options;
-  options.record_cycles = false;
   sim::Simulator simulator(sys);
-  simulator.run(env, options);
+  simulator.run(env);
   env.rewind();
-  return simulator.run(env, options).stats;
+  return simulator.run(env).stats;
 }
 
 /// Batch throughput: total cycles/second of a 16-seed simulate_batch
 /// sweep, single-threaded so it measures the engine, not parallelism.
 double measure_batch_cycles_per_second(const dcf::System& sys) {
-  sim::SimOptions options;
-  options.record_cycles = false;
   auto sweep = [&] {
-    return sim::simulate_batch_seeds(sys, 1, 16, 64, options, 1, 1, 20);
+    return sim::simulate_batch_seeds(sys, 1, 16, 64, {}, 1, 1, 20);
   };
   sweep();  // warm-up (allocator, page faults)
   return cycles_per_second([&] {

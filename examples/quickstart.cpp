@@ -67,10 +67,13 @@ int main() {
   std::cout << "design check: " << report.to_string() << "\n";
 
   // --- 3. simulate against an environment ---------------------------------
+  // Per-cycle records are opt-in; the trace printout below reads them.
+  sim::SimOptions traced;
+  traced.record_cycles = true;
   sim::Environment env;
   env.set_stream(serial.datapath().find_vertex("x"), {5});
   env.set_stream(serial.datapath().find_vertex("y"), {7});
-  const sim::SimResult run = sim::simulate(serial, env);
+  const sim::SimResult run = sim::simulate(serial, env, traced);
   std::cout << "serial execution (" << run.cycles << " cycles):\n"
             << run.trace.to_string(serial) << "\n";
 
@@ -83,7 +86,7 @@ int main() {
   sim::Environment env2;
   env2.set_stream(parallel.datapath().find_vertex("x"), {5});
   env2.set_stream(parallel.datapath().find_vertex("y"), {7});
-  const sim::SimResult run2 = sim::simulate(parallel, env2);
+  const sim::SimResult run2 = sim::simulate(parallel, env2, traced);
   std::cout << "parallel execution (" << run2.cycles << " cycles):\n"
             << run2.trace.to_string(parallel) << "\n";
 

@@ -63,15 +63,24 @@ std::string compare_results(const sim::SimResult& ref,
   if (ref.final_registers != com.final_registers) {
     return "final register states differ";
   }
+  const std::vector<sim::ExternalEvent>& ref_events = ref.trace.events();
+  const std::vector<sim::ExternalEvent>& com_events = com.trace.events();
+  if (ref_events.size() != com_events.size()) {
+    return "event counts differ";
+  }
+  for (std::size_t i = 0; i < ref_events.size(); ++i) {
+    if (ref_events[i] != com_events[i]) {
+      os << "events diverge at event " << i << " (cycle "
+         << ref_events[i].cycle << ")";
+      return os.str();
+    }
+  }
   if (ref.trace.cycles.size() != com.trace.cycles.size()) {
     return "trace lengths differ";
   }
   for (std::size_t i = 0; i < ref.trace.cycles.size(); ++i) {
-    const sim::CycleRecord& a = ref.trace.cycles[i];
-    const sim::CycleRecord& b = com.trace.cycles[i];
-    if (a.cycle != b.cycle || a.marked != b.marked || a.fired != b.fired ||
-        a.events != b.events || a.registers != b.registers) {
-      os << "trace diverges at cycle " << a.cycle;
+    if (ref.trace.cycles[i] != com.trace.cycles[i]) {
+      os << "trace diverges at cycle " << ref.trace.cycles[i].cycle;
       return os.str();
     }
   }
@@ -96,7 +105,7 @@ void engine_differential(const dcf::System& system, std::uint64_t seed,
       so.max_cycles = opt.max_cycles;
       so.policy = policy;
       so.seed = seed + e;
-      so.record_registers = true;
+      so.record_registers = true;  // per-cycle records, registers included
 
       so.engine = sim::SimEngine::kReference;
       const sim::SimResult ref = sim::simulate(system, env, so);

@@ -376,7 +376,7 @@ std::string Service::do_simulate(WorkerState& state, Job& job) {
       pooled_simulator(state, design).run(env, options);
   publish_sim_stats(result.stats);
 
-  const std::vector<sim::ExternalEvent> events = result.trace.events();
+  const std::vector<sim::ExternalEvent>& events = result.trace.events();
   Fnv64 digest;
   for (const sim::ExternalEvent& event : events) {
     digest.feed(event.cycle);

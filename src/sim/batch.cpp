@@ -55,21 +55,26 @@ void parallel_jobs(std::size_t jobs, std::size_t threads,
   }
 }
 
-std::vector<SimResult> simulate_batch(const dcf::System& system,
-                                      std::vector<BatchRun>& runs,
-                                      std::size_t threads) {
-  std::vector<SimResult> results(runs.size());
-  if (runs.empty()) return results;
+namespace {
 
-  // One Simulator per worker: compiled configuration plans are shared
-  // across every run that worker executes.
-  const std::size_t workers = resolve_worker_count(runs.size(), threads);
+/// The pool loop behind both batch entry points: `run_job(simulator, i)`
+/// runs job i on its worker's Simulator. One Simulator per worker, so
+/// compiled configuration plans are shared across every run that worker
+/// executes.
+template <typename RunJob>
+std::vector<SimResult> run_on_workers(const dcf::System& system,
+                                      std::size_t jobs, std::size_t threads,
+                                      const RunJob& run_job) {
+  std::vector<SimResult> results(jobs);
+  if (jobs == 0) return results;
+
+  const std::size_t workers = resolve_worker_count(jobs, threads);
   std::vector<std::unique_ptr<Simulator>> simulators(workers);
-  parallel_jobs(runs.size(), workers, [&](std::size_t w, std::size_t i) {
+  parallel_jobs(jobs, workers, [&](std::size_t w, std::size_t i) {
     if (simulators[w] == nullptr) {
       simulators[w] = std::make_unique<Simulator>(system);
     }
-    results[i] = simulators[w]->run(runs[i].environment, runs[i].options);
+    results[i] = run_job(*simulators[w], i);
     if (obs::progress_enabled()) {
       obs::ProgressCounters& pc = obs::progress();
       pc.sim_seeds.fetch_add(1, std::memory_order_relaxed);
@@ -77,6 +82,17 @@ std::vector<SimResult> simulate_batch(const dcf::System& system,
     }
   });
   return results;
+}
+
+}  // namespace
+
+std::vector<SimResult> simulate_batch(const dcf::System& system,
+                                      std::vector<BatchRun>& runs,
+                                      std::size_t threads) {
+  return run_on_workers(
+      system, runs.size(), threads, [&](Simulator& simulator, std::size_t i) {
+        return simulator.run(runs[i].environment, runs[i].options);
+      });
 }
 
 std::vector<SimResult> simulate_batch_seeds(const dcf::System& system,
@@ -87,18 +103,16 @@ std::vector<SimResult> simulate_batch_seeds(const dcf::System& system,
                                             std::size_t threads,
                                             std::int64_t value_lo,
                                             std::int64_t value_hi) {
-  std::vector<BatchRun> runs;
-  runs.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint64_t seed = base_seed + k;
-    BatchRun run;
-    run.environment = Environment::random_for(system, seed, stream_length,
-                                              value_lo, value_hi);
-    run.options = options;
-    run.options.seed = seed;
-    runs.push_back(std::move(run));
-  }
-  return simulate_batch(system, runs, threads);
+  // Each job draws its environment on the worker that runs it.
+  return run_on_workers(
+      system, count, threads, [&](Simulator& simulator, std::size_t k) {
+        const std::uint64_t seed = base_seed + k;
+        Environment env = Environment::random_for(system, seed, stream_length,
+                                                  value_lo, value_hi);
+        SimOptions run_options = options;
+        run_options.seed = seed;
+        return simulator.run(env, run_options);
+      });
 }
 
 }  // namespace camad::sim

@@ -56,7 +56,8 @@ std::vector<SimResult> simulate_batch(const dcf::System& system,
 
 /// Convenience sweep: `count` runs with Environment::random_for seeds
 /// base_seed, base_seed+1, ... (the per-run SimOptions::seed is offset the
-/// same way so the random firing policies decorrelate too).
+/// same way so the random firing policies decorrelate too). Each run's
+/// environment is drawn on the worker that executes it.
 std::vector<SimResult> simulate_batch_seeds(
     const dcf::System& system, std::uint64_t base_seed, std::size_t count,
     std::size_t stream_length, const SimOptions& options = {},

@@ -188,6 +188,7 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
   DynamicBitset marked_bits;
   Rng rng(options.seed);
   bool reported_unsafe = false;
+  const bool record_cycles = options.record_cycles || options.record_registers;
 
   for (std::uint64_t cycle = 0; cycle < options.max_cycles; ++cycle) {
     if (marking.total() == 0) {  // rule 6
@@ -228,14 +229,11 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
     }
 
     // 3. External events for arriving tenures (Def 3.4).
-    CycleRecord record;
-    record.cycle = cycle;
-    if (options.record_cycles) record.marked = marked;
     for (ArcId a : external_arcs) {
       if (!arc_active[a.index()]) continue;
       const PlaceId s = controller[a.index()];
       if (!s.valid() || !arrival[s.index()]) continue;
-      record.events.push_back(ExternalEvent{
+      result.trace.add_event(ExternalEvent{
           a, port_value[dp.arc_source(a).index()], cycle, s});
     }
 
@@ -282,7 +280,6 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
     }
     const std::vector<TransitionId> fired =
         petri::fire_step_in_order(net, marking, order, guard_true);
-    if (options.record_cycles) record.fired = fired;
 
     // 6. Latch sequential outputs when their controlling tenure *ends*
     // (rule 9: ":=" commits the last defined value as control advances).
@@ -326,9 +323,10 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
       for (PlaceId p : net.post(t)) arrival[p.index()] = true;
     }
 
-    if (options.record_registers) record.registers = reg_state;
-    if (options.record_cycles || !record.events.empty()) {
-      result.trace.cycles.push_back(std::move(record));
+    if (record_cycles) {
+      result.trace.cycles.push_back(
+          {cycle, marked, fired,
+           options.record_registers ? reg_state : std::vector<Value>{}});
     }
 
     // Stuck detection: nothing fired, no register changed and no stream
@@ -393,8 +391,8 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
 
 /// Reusable cycle-loop buffers. Everything the steady-state loop touches
 /// is hoisted here so that, once the buffers reach their high-water marks,
-/// a cycle performs zero heap allocations (when per-cycle recording is
-/// off and no external event occurs).
+/// a cycle performs zero heap allocations when per-cycle records are off
+/// (events land in the trace's one flat list, which grows geometrically).
 struct SimScratch {
   DynamicBitset marked_bits;            ///< plan-cache key, refilled per cycle
   std::vector<Value> reg_state;         ///< per port (kReg outputs)
@@ -524,6 +522,7 @@ SimResult run_plans(SimulatorState& state, Environment& env,
 
   Rng rng(options.seed);
   bool reported_unsafe = false;
+  const bool record_cycles = options.record_cycles || options.record_registers;
 
   // Plan pointer reuse across cycles in which nothing fired (the marking
   // — hence the plan — cannot have changed). Invalidated by evictions:
@@ -657,12 +656,9 @@ SimResult run_plans(SimulatorState& state, Environment& env,
     };
 
     // 3. External events for arriving tenures (Def 3.4).
-    CycleRecord record;
-    record.cycle = cycle;
-    if (options.record_cycles) record.marked = plan->marked;
     for (const PlannedEvent& e : plan->events) {
       if (!s.arrival[e.controller.index()]) continue;
-      record.events.push_back(
+      result.trace.add_event(
           ExternalEvent{e.arc, vals[e.source_port], cycle, e.controller});
     }
 
@@ -720,7 +716,6 @@ SimResult run_plans(SimulatorState& state, Environment& env,
       s.fired.push_back(t);
     }
     if (!s.fired.empty()) marking_dirty = true;
-    if (options.record_cycles) record.fired = s.fired;
 
     // 6+7. Latch sequential outputs and advance environment streams when
     // the controlling tenure ends (rule 9 / Def 3.5), via the static
@@ -768,9 +763,10 @@ SimResult run_plans(SimulatorState& state, Environment& env,
       std::fill(s.arrival.begin(), s.arrival.end(), 0);
     }
 
-    if (options.record_registers) record.registers = s.reg_state;
-    if (options.record_cycles || !record.events.empty()) {
-      result.trace.cycles.push_back(std::move(record));
+    if (record_cycles) {
+      result.trace.cycles.push_back(
+          {cycle, plan->marked, s.fired,
+           options.record_registers ? s.reg_state : std::vector<Value>{}});
     }
 
     // Stuck detection: nothing fired, no register changed and no stream

@@ -6,8 +6,8 @@
 //   3. port values propagate combinationally over the active subgraph in
 //      topological order (rules 7-10): register and environment outputs
 //      are state, combinatorial outputs recompute, inactive inputs are ⊥;
-//   4. an external event (A, w) is recorded for every active external arc
-//      (Def 3.4);
+//   4. an external event (A, w) is appended to the trace's event list for
+//      every active external arc (Def 3.4);
 //   5. transitions whose input states are all marked and whose OR-ed
 //      guard value is TRUE fire as a step (rules 3-5) under the selected
 //      policy;
@@ -72,10 +72,14 @@ struct SimOptions {
   std::uint64_t max_cycles = 100000;
   FiringPolicy policy = FiringPolicy::kMaximalStep;
   std::uint64_t seed = 1;  ///< for the random policies
-  /// Record per-cycle marked/fired detail (events are always recorded).
-  bool record_cycles = true;
+  /// Keep one CycleRecord per cycle (marked states, fired transitions):
+  /// a debugging view for `camadc sim --trace` and the engine
+  /// differential. The external events, the run's Def 3.4 observable,
+  /// are recorded either way, in one flat list.
+  bool record_cycles = false;
   /// Additionally record post-latch register state per cycle (indexed by
-  /// output-port id); needed by the VCD waveform writer.
+  /// output-port id); needed by the VCD waveform writer. Implies
+  /// per-cycle records, since a register column needs its cycle.
   bool record_registers = false;
   /// Which executor to use; both are observationally identical.
   SimEngine engine = SimEngine::kCompiled;

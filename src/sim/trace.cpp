@@ -4,34 +4,19 @@
 
 namespace camad::sim {
 
-std::vector<ExternalEvent> Trace::events() const {
-  std::vector<ExternalEvent> out;
-  for (const CycleRecord& record : cycles) {
-    out.insert(out.end(), record.events.begin(), record.events.end());
-  }
-  return out;
-}
-
 std::vector<dcf::Value> Trace::values_at(dcf::ArcId arc) const {
   std::vector<dcf::Value> out;
-  for (const CycleRecord& record : cycles) {
-    for (const ExternalEvent& event : record.events) {
-      if (event.arc == arc) out.push_back(event.value);
-    }
+  for (const ExternalEvent& event : events_) {
+    if (event.arc == arc) out.push_back(event.value);
   }
   return out;
-}
-
-std::size_t Trace::event_count() const {
-  std::size_t n = 0;
-  for (const CycleRecord& record : cycles) n += record.events.size();
-  return n;
 }
 
 std::string Trace::to_string(const dcf::System& system) const {
   const auto& net = system.control().net();
   const auto& dp = system.datapath();
   std::ostringstream os;
+  auto event = events_.begin();
   for (const CycleRecord& record : cycles) {
     os << "cycle " << record.cycle << ": marked={";
     for (std::size_t i = 0; i < record.marked.size(); ++i) {
@@ -44,12 +29,12 @@ std::string Trace::to_string(const dcf::System& system) const {
       os << net.name(record.fired[i]);
     }
     os << '}';
-    for (const ExternalEvent& event : record.events) {
-      const dcf::VertexId src = dp.arc_source_vertex(event.arc);
-      const dcf::VertexId dst = dp.arc_target_vertex(event.arc);
+    for (; event != events_.end() && event->cycle == record.cycle; ++event) {
+      const dcf::VertexId src = dp.arc_source_vertex(event->arc);
+      const dcf::VertexId dst = dp.arc_target_vertex(event->arc);
       const dcf::VertexId ext =
           dp.kind(src) != dcf::VertexKind::kInternal ? src : dst;
-      os << ' ' << dp.name(ext) << '=' << event.value;
+      os << ' ' << dp.name(ext) << '=' << event->value;
     }
     os << '\n';
   }

@@ -158,7 +158,6 @@ PerformanceReport measure_performance(const dcf::System& system,
 
   sim::SimOptions sim_options;
   sim_options.max_cycles = options.max_cycles;
-  sim_options.record_cycles = false;
 
   std::vector<sim::SimResult> results;
   if (options.share_engine) {

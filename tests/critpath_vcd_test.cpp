@@ -220,7 +220,7 @@ TEST(Vcd, EmitsHeaderSignalsAndChanges) {
   options.record_registers = true;
   const sim::SimResult result = sim::simulate(sys, env, options);
 
-  const std::string vcd = sim::to_vcd(sys, result.trace);
+  const std::string vcd = sim::to_vcd(sys, result);
   EXPECT_NE(vcd.find("$timescale 1 ns $end"), std::string::npos);
   EXPECT_NE(vcd.find("$var wire 64"), std::string::npos);  // register x
   EXPECT_NE(vcd.find("$var wire 1"), std::string::npos);   // control states
@@ -236,7 +236,35 @@ TEST(Vcd, RequiresRegisterRecords) {
   sim::Environment env;
   env.set_stream(sys.datapath().find_vertex("a"), {41});
   const sim::SimResult result = sim::simulate(sys, env);  // no registers
-  EXPECT_THROW(sim::to_vcd(sys, result.trace), SimulationError);
+  EXPECT_THROW(sim::to_vcd(sys, result), SimulationError);
+}
+
+// A run with cycles but no external events still lacks its register
+// records when simulated under default options.
+TEST(Vcd, RequiresRegisterRecordsWithoutEvents) {
+  const dcf::System sys = synth::compile_source(
+      "design t { var x; begin x := 1; x := x + 1; end }");
+  sim::Environment env;
+  const sim::SimResult result = sim::simulate(sys, env);  // no registers
+  ASSERT_GT(result.cycles, 0u);
+  ASSERT_TRUE(result.trace.events().empty());
+  EXPECT_THROW(sim::to_vcd(sys, result), SimulationError);
+}
+
+// A zero-cycle run needs no records, so its waveform is the header
+// alone, not a missing-registers error.
+TEST(Vcd, ZeroCycleRunWritesHeaderOnly) {
+  const dcf::System sys = synth::compile_source(
+      "design t { in a; out o; var x; begin x := a + 1; o := x; end }");
+  sim::Environment env;
+  sim::SimOptions options;
+  options.max_cycles = 0;
+  options.record_registers = true;
+  const sim::SimResult result = sim::simulate(sys, env, options);
+  ASSERT_EQ(result.cycles, 0u);
+  const std::string vcd = sim::to_vcd(sys, result);
+  EXPECT_NE(vcd.find("$enddefinitions $end"), std::string::npos);
+  EXPECT_EQ(vcd.find("\n#"), std::string::npos);  // no timestamp
 }
 
 TEST(Vcd, TokenFlowVisibleAsStateBits) {
@@ -248,7 +276,7 @@ TEST(Vcd, TokenFlowVisibleAsStateBits) {
   sim::SimOptions options;
   options.record_registers = true;
   const sim::SimResult result = sim::simulate(sys, env, options);
-  const std::string vcd = sim::to_vcd(sys, result.trace);
+  const std::string vcd = sim::to_vcd(sys, result);
   // Every cycle emits a timestamp; count them.
   std::size_t stamps = 0;
   for (std::size_t pos = vcd.find("\n#"); pos != std::string::npos;

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/store.h"
+#include "synth/designs.h"
 #include "synth/optimizer.h"
 #include "util/json.h"
 
@@ -325,6 +327,69 @@ TEST(Service, ConcurrentResponsesAreBitIdenticalToSerialOracle) {
   // The workload re-read one design from every thread: the shared tier
   // must show real cross-request reuse.
   EXPECT_GT(service.shared_tier_hit_rate(), 0.5);
+}
+
+// A simulate's events_total and trace_hash digest the run's external
+// event list, its Def 3.4 observable. Pinned per corpus design and seed
+// (random environments, default options), so a simulator change that
+// alters an observable fails here even if both engines agree.
+TEST(Service, SimulateTraceHashesArePinned) {
+  struct Pin {
+    const char* design;
+    std::uint64_t seed;
+    std::size_t events;
+    const char* trace_hash;
+  };
+  constexpr Pin kPins[] = {
+      {"gcd", 1, 3, "5a2b13d2d4a39eda"},
+      {"gcd", 2, 3, "5781df647225a53c"},
+      {"gcd", 3, 3, "ad4433c17deff9da"},
+      {"gcd", 4, 3, "47a6d5d21e3e6d68"},
+      {"diffeq", 1, 8, "761f7692df253d15"},
+      {"diffeq", 2, 8, "dc4089c1376a380b"},
+      {"diffeq", 3, 8, "90286b808103da15"},
+      {"diffeq", 4, 8, "ad35797874c44e5f"},
+      {"ewf", 1, 10, "37e6e1ac886321ec"},
+      {"ewf", 2, 10, "05db7f1260216684"},
+      {"ewf", 3, 10, "4cc7c6caf96c11e3"},
+      {"ewf", 4, 10, "bc84acb26e892fe5"},
+      {"fir8", 1, 16, "cd31c6c56b181f79"},
+      {"fir8", 2, 16, "94ed7ab030ba96e0"},
+      {"fir8", 3, 16, "e477a5642376f44a"},
+      {"fir8", 4, 16, "a43e9ca720286c71"},
+      {"traffic", 1, 24, "1b57ce8ed5d08f97"},
+      {"traffic", 2, 24, "0bbc2c711536e08b"},
+      {"traffic", 3, 24, "91b36a606c9552f7"},
+      {"traffic", 4, 24, "53eb270227a242a6"},
+      {"parlab", 1, 8, "b1cb7c034e0d99f2"},
+      {"parlab", 2, 8, "77104af03578645c"},
+      {"parlab", 3, 8, "80fc86fe63cca648"},
+      {"parlab", 4, 8, "7d342459e7e34637"},
+  };
+  Service service(ServiceOptions{});
+  std::map<std::string, std::string> ids;
+  for (const synth::NamedDesign& d : synth::all_designs()) {
+    ids[std::string(d.name)] = design_id(service, std::string(d.source));
+  }
+  ASSERT_EQ(ids.size(), 6u);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(std::string(pin.design) + " seed " +
+                 std::to_string(pin.seed));
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.begin_object()
+        .kv("op", "simulate")
+        .kv("design", ids.at(pin.design))
+        .kv("seed", pin.seed)
+        .end_object();
+    const JsonValue response = json_parse(service.handle(os.str()));
+    ASSERT_TRUE(response.find("ok")->boolean);
+    const JsonValue* result = response.find("result");
+    EXPECT_EQ(result->find("outcome")->string, "terminated");
+    EXPECT_EQ(result->find("events_total")->number,
+              static_cast<double>(pin.events));
+    EXPECT_EQ(result->find("trace_hash")->string, pin.trace_hash);
+  }
 }
 
 TEST(Service, FullQueueRejectsWithOverloadedInsteadOfStalling) {

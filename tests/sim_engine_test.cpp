@@ -19,6 +19,7 @@
 #include "sim/simulator.h"
 #include "synth/compile.h"
 #include "synth/designs.h"
+#include "workloads.h"
 
 namespace camad {
 namespace {
@@ -33,6 +34,7 @@ constexpr sim::FiringPolicy kPolicies[] = {
 };
 
 void expect_identical_traces(const sim::Trace& a, const sim::Trace& b) {
+  EXPECT_EQ(a.events(), b.events());
   ASSERT_EQ(a.cycles.size(), b.cycles.size());
   for (std::size_t i = 0; i < a.cycles.size(); ++i) {
     const sim::CycleRecord& ca = a.cycles[i];
@@ -40,16 +42,18 @@ void expect_identical_traces(const sim::Trace& a, const sim::Trace& b) {
     EXPECT_EQ(ca.cycle, cb.cycle) << "cycle index " << i;
     EXPECT_EQ(ca.marked, cb.marked) << "cycle " << i;
     EXPECT_EQ(ca.fired, cb.fired) << "cycle " << i;
-    EXPECT_EQ(ca.events, cb.events) << "cycle " << i;
     EXPECT_EQ(ca.registers, cb.registers) << "cycle " << i;
   }
 }
 
 /// Everything observable must match; stats are intentionally excluded
 /// (the reference engine has no plan cache, and cache warmth varies with
-/// engine reuse).
+/// engine reuse). Both runs must keep per-cycle records: two runs without
+/// them would pass the cycle comparison without checking a cycle.
 void expect_identical_results(const sim::SimResult& a,
                               const sim::SimResult& b) {
+  EXPECT_FALSE(a.cycles > 0 && a.trace.cycles.empty())
+      << "compare runs simulated with record_cycles";
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.terminated, b.terminated);
   EXPECT_EQ(a.deadlocked, b.deadlocked);
@@ -297,14 +301,73 @@ TEST(SimEngineDeterminism, BatchMatchesSequential) {
   }
 }
 
+// Each sweep job draws its environment on its worker; every run must
+// match a sequential simulate() against the same seeded environment.
 TEST(SimEngineDeterminism, BatchSeedsSweep) {
   const dcf::System sys =
       synth::compile_source(std::string(synth::all_designs()[0].source));
-  const auto a = sim::simulate_batch_seeds(sys, 1, 6, 32, {}, 3, 1, 20);
-  const auto b = sim::simulate_batch_seeds(sys, 1, 6, 32, {}, 1, 1, 20);
-  ASSERT_EQ(a.size(), b.size());
+  sim::SimOptions options;
+  options.record_cycles = true;
+  const auto a = sim::simulate_batch_seeds(sys, 1, 6, 32, options, 3, 1, 20);
+  const auto b = sim::simulate_batch_seeds(sys, 1, 6, 32, options, 1, 1, 20);
+  ASSERT_EQ(a.size(), 6u);
+  ASSERT_EQ(b.size(), 6u);
   for (std::size_t k = 0; k < a.size(); ++k) {
-    expect_identical_results(a[k], b[k]);
+    SCOPED_TRACE("seed " + std::to_string(1 + k));
+    sim::Environment env =
+        sim::Environment::random_for(sys, 1 + k, 32, 1, 20);
+    options.seed = 1 + k;
+    const sim::SimResult sequential = sim::simulate(sys, env, options);
+    expect_identical_results(a[k], sequential);
+    expect_identical_results(b[k], sequential);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Recording invariance: per-cycle records are a debugging view. A
+// default run keeps none, a recording run keeps one per cycle, and both
+// show the same observables on either engine.
+
+TEST(SimEngineRecording, DefaultRunMatchesRecordingRun) {
+  for (const bench::BenchDesign& d : bench::bench_designs()) {
+    for (const sim::SimEngine engine :
+         {sim::SimEngine::kCompiled, sim::SimEngine::kReference}) {
+      for (const sim::FiringPolicy policy : kPolicies) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          SCOPED_TRACE(d.name + " engine=" +
+                       std::string(sim::engine_name(engine)) + " policy=" +
+                       std::to_string(static_cast<int>(policy)) +
+                       " seed=" + std::to_string(seed));
+          sim::Environment env =
+              sim::Environment::random_for(d.system, seed, 48, 1, 20);
+          sim::SimOptions options;
+          options.engine = engine;
+          options.policy = policy;
+          options.seed = seed;
+          const sim::SimResult plain = sim::simulate(d.system, env, options);
+          env.rewind();
+          options.record_cycles = true;
+          options.record_registers = true;
+          const sim::SimResult recorded =
+              sim::simulate(d.system, env, options);
+
+          EXPECT_EQ(plain.cycles, recorded.cycles);
+          EXPECT_EQ(plain.terminated, recorded.terminated);
+          EXPECT_EQ(plain.deadlocked, recorded.deadlocked);
+          EXPECT_EQ(plain.violations, recorded.violations);
+          EXPECT_EQ(plain.final_registers, recorded.final_registers);
+          EXPECT_EQ(plain.trace.events(), recorded.trace.events());
+          EXPECT_FALSE(plain.trace.events().empty());
+
+          EXPECT_TRUE(plain.trace.cycles.empty());
+          ASSERT_EQ(recorded.trace.cycles.size(), recorded.cycles);
+          for (std::size_t i = 0; i < recorded.trace.cycles.size(); ++i) {
+            EXPECT_EQ(recorded.trace.cycles[i].cycle, i);
+            EXPECT_FALSE(recorded.trace.cycles[i].registers.empty());
+          }
+        }
+      }
+    }
   }
 }
 
@@ -316,6 +379,7 @@ TEST(SimEnginePlanCache, LruCapBoundsResidencyWithoutChangingObservables) {
   sim::Environment env = sim::Environment::random_for(sys, 3, 48, 1, 30);
   sim::SimOptions unbounded;
   unbounded.plan_cache_capacity = 0;
+  unbounded.record_cycles = true;
   const sim::SimResult full = sim::simulate(sys, env, unbounded);
   ASSERT_GT(full.stats.plan_cache_misses, 2u);
   EXPECT_EQ(full.stats.plan_cache_evictions, 0u);
@@ -355,13 +419,15 @@ TEST(SimEnginePlanCache, PersistentSimulatorReusesPlans) {
   const dcf::System sys = make_gcd();
   sim::Simulator simulator(sys);
   sim::Environment env = sim::Environment::random_for(sys, 5, 48, 1, 30);
-  const sim::SimResult first = simulator.run(env);
+  sim::SimOptions options;
+  options.record_cycles = true;
+  const sim::SimResult first = simulator.run(env, options);
   EXPECT_GT(first.stats.plan_cache_misses, 0u);
   EXPECT_EQ(first.stats.plan_cache_hits + first.stats.plan_cache_misses,
             first.cycles);
 
   env.rewind();
-  const sim::SimResult second = simulator.run(env);
+  const sim::SimResult second = simulator.run(env, options);
   // Every configuration was compiled by the first run.
   EXPECT_EQ(second.stats.plan_cache_misses, 0u);
   EXPECT_EQ(second.stats.plan_cache_hits, second.cycles);
@@ -375,7 +441,8 @@ TEST(SimEngineSparse, SkipsStepsAndKeepsCacheInvariant) {
   const dcf::System sys = make_gcd();
   sim::Simulator simulator(sys);
   sim::Environment env = sim::Environment::random_for(sys, 9, 48, 1, 30);
-  const sim::SimOptions options;
+  sim::SimOptions options;
+  options.record_cycles = true;
 
   const sim::SimResult first = simulator.run(env, options);
   ASSERT_GT(first.cycles, 4u);

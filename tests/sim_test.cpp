@@ -250,7 +250,9 @@ TEST(Trace, ToStringMentionsStatesAndValues) {
   const dcf::System sys = test::make_doubler();
   Environment env;
   env.set_stream(sys.datapath().find_vertex("x"), {21});
-  const SimResult result = simulate(sys, env);
+  SimOptions options;
+  options.record_cycles = true;  // to_string prints per-cycle records
+  const SimResult result = simulate(sys, env, options);
   const std::string text = result.trace.to_string(sys);
   EXPECT_NE(text.find("S0"), std::string::npos);
   EXPECT_NE(text.find("y=42"), std::string::npos);

@@ -20,9 +20,7 @@ using petri::PlaceId;
 
 std::uint64_t cycles(const dcf::System& sys, std::uint64_t seed = 5) {
   sim::Environment env = sim::Environment::random_for(sys, seed, 32, 1, 20);
-  sim::SimOptions options;
-  options.record_cycles = false;
-  const sim::SimResult r = sim::simulate(sys, env, options);
+  const sim::SimResult r = sim::simulate(sys, env);
   EXPECT_TRUE(r.terminated);
   return r.cycles;
 }

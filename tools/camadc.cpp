@@ -627,6 +627,9 @@ int cmd_sim(const Args& args) {
   const dcf::System system = load_any(args.file);
 
   sim::SimOptions options;
+  // --trace prints and --vcd writes per-cycle records; a plain run keeps
+  // only the event list.
+  options.record_cycles = args.flag("--trace");
   options.record_registers = args.option("--vcd").has_value();
   options.max_cycles = args.u64("--max-cycles").value_or(options.max_cycles);
   options.seed = args.u64("--seed").value_or(7);
@@ -695,7 +698,7 @@ int cmd_sim(const Args& args) {
     }
   }
   if (const auto path = args.option("--vcd")) {
-    write_file(*path, sim::to_vcd(system, result.trace));
+    write_file(*path, sim::to_vcd(system, result));
     std::cout << "waveform written to " << *path << '\n';
   }
   if (telemetry.collect_metrics()) {
