@@ -1,11 +1,8 @@
 // Design-space-exploration throughput and frontier quality.
 //
-// Greedy section (unchanged): synth::optimize() with the shared
-// AnalysisCache, batched candidate measurement and parallel candidate
-// evaluation, against the pre-cache baseline (use_analysis_cache=false,
-// eval_threads=1, share_engine=false). Both configurations walk the
-// identical search trajectory, so wall-clock is the only thing that
-// moves.
+// Greedy section: the wall clock of synth::optimize(), the greedy sweep
+// `camadc synth` runs by default, with its candidate evaluation fanned
+// out over every hardware thread.
 //
 // Pareto section: synth::optimize_pareto() over the same corpus plus the
 // bench-only guarded_branch design. For every design the frontier JSON
@@ -14,15 +11,14 @@
 // endpoint (the quality contract) — either violation makes the binary
 // exit nonzero, which is how the CI bench job enforces both.
 //
-//   * BM_optimize/<design>          — greedy, cached, parallel;
-//   * BM_optimize_uncached/<design> — greedy, uncached, serial;
-//   * BM_pareto/<design>            — full pareto search.
+//   * BM_optimize/<design> — greedy sweep;
+//   * BM_pareto/<design>   — full pareto search.
 //
 // Without --json the binary first prints the E3 area/time frontier
 // tables for diffeq and ewf (this subsumes the retired bench_tradeoff
 // λ-sweep: the frontier *is* the trade-off curve, one search instead of
 // six scalarized runs). Pass --json[=PATH] (default BENCH_optimizer.json)
-// to emit one record per design with greedy wall-clocks, hypervolume,
+// to emit one record per design with the greedy wall-clock, hypervolume,
 // frontier size, and pareto wall-clock per thread count, for the CI
 // bench artifact (see docs/PERF.md).
 
@@ -48,12 +44,9 @@ using namespace camad;
 
 namespace {
 
-synth::OptimizerOptions options_for(bool cached) {
+synth::OptimizerOptions greedy_options() {
   synth::OptimizerOptions options;
   options.measure.environments = 2;
-  options.measure.share_engine = cached;
-  options.use_analysis_cache = cached;
-  options.eval_threads = cached ? 0 : 1;
   return options;
 }
 
@@ -79,11 +72,10 @@ std::vector<std::size_t> thread_sweep(const std::string& name) {
   return {1, 2, 4, 8};
 }
 
-void BM_optimize(benchmark::State& state, const std::string& source,
-                 bool cached) {
+void BM_optimize(benchmark::State& state, const std::string& source) {
   const dcf::System serial = synth::compile_source(source);
   const synth::ModuleLibrary lib = synth::ModuleLibrary::standard();
-  const synth::OptimizerOptions options = options_for(cached);
+  const synth::OptimizerOptions options = greedy_options();
   std::size_t merges = 0;
   for (auto _ : state) {
     const synth::OptimizerResult result =
@@ -150,25 +142,20 @@ void print_frontier(const bench::BenchDesign& design) {
 /// written, the frontier output differs across thread counts, or the
 /// greedy endpoint is not weakly dominated by the frontier.
 bool emit_json(const std::string& path) {
-  // Cores matter for reading the numbers (the cached/pareto
-  // configurations fan candidate evaluation out, the uncached baseline
-  // is serial); they come from the BenchJson schema-v2 host stamp.
+  // Cores matter for reading the numbers (both searches fan candidate
+  // evaluation out); they come from the BenchJson schema-v2 host stamp.
   bench::BenchJson json(path, "optimizer", "optimize_seconds");
   const synth::ModuleLibrary lib = synth::ModuleLibrary::standard();
   bool ok = true;
   for (const bench::BenchDesign& d : bench::bench_designs()) {
     const dcf::System& serial = d.system;
     const bool timed_greedy = d.name != "guarded_branch";
-    double cached = 0.0;
-    double uncached = 0.0;
-    if (timed_greedy) {
-      cached = measure_seconds(serial, lib, options_for(true));
-      uncached = measure_seconds(serial, lib, options_for(false));
-    }
+    const double greedy_seconds =
+        timed_greedy ? measure_seconds(serial, lib, greedy_options()) : 0.0;
     // Greedy endpoint for the quality contract — same measurement
     // options as the pareto runs, so the comparison is like-for-like.
     const synth::OptimizerResult greedy =
-        synth::optimize(serial, lib, options_for(true));
+        synth::optimize(serial, lib, greedy_options());
 
     synth::ParetoResult result;
     std::string reference_json;
@@ -208,9 +195,7 @@ bool emit_json(const std::string& path) {
 
     json.begin_design(d.name);
     if (timed_greedy) {
-      json.field("cached_seconds", bench::rounded(cached, 4))
-          .field("uncached_seconds", bench::rounded(uncached, 4))
-          .field("speedup", bench::rounded(uncached / cached, 2));
+      json.field("greedy_seconds", bench::rounded(greedy_seconds, 4));
     }
     json.field("hypervolume", bench::rounded(result.hypervolume, 4))
         .field("frontier_points", result.frontier.size())
@@ -224,9 +209,7 @@ bool emit_json(const std::string& path) {
     json.end_design();
     std::cout << "BENCH_optimizer " << d.name << ": ";
     if (timed_greedy) {
-      std::cout << format_double(cached * 1e3, 1) << " ms cached vs "
-                << format_double(uncached * 1e3, 1) << " ms uncached ("
-                << format_double(uncached / cached, 2) << "x), ";
+      std::cout << format_double(greedy_seconds * 1e3, 1) << " ms greedy, ";
     }
     std::cout << result.frontier.size() << " frontier point(s), hypervolume "
               << format_double(result.hypervolume, 4) << ", pareto "
@@ -252,11 +235,7 @@ int main(int argc, char** argv) {
   }
   for (const synth::NamedDesign& d : synth::all_designs()) {
     benchmark::RegisterBenchmark(("BM_optimize/" + d.name).c_str(),
-                                 BM_optimize, std::string(d.source), true)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("BM_optimize_uncached/" + d.name).c_str(), BM_optimize,
-        std::string(d.source), false)
+                                 BM_optimize, std::string(d.source))
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(("BM_pareto/" + d.name).c_str(), BM_pareto,
                                  std::string(d.source))

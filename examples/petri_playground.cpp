@@ -1,11 +1,11 @@
-// The Petri-net substrate standalone: structure, analysis, performance.
+// The Petri-net substrate standalone: structure, analysis, token game.
 //
 //   $ ./petri_playground
 //
 // Demonstrates the `petri` library without the data-path layer: building
-// a pipelined producer/consumer ring, classifying it, proving safety with
-// P-invariants, checking liveness via siphons, and bounding steady-state
-// throughput with the max-cycle-ratio analysis.
+// a pipelined producer/consumer ring, classifying it, exploring its
+// reachable markings, proving safety with P-invariants, and playing the
+// maximal-step token game.
 
 #include <iostream>
 
@@ -14,9 +14,6 @@
 #include "petri/export.h"
 #include "petri/invariants.h"
 #include "petri/reachability.h"
-#include "petri/siphons.h"
-#include "petri/timed.h"
-#include "util/strings.h"
 
 using namespace camad;
 
@@ -64,19 +61,7 @@ int main() {
     }
     std::cout << "]\n";
   }
-  std::cout << "unmarked-siphon alarm: "
-            << (petri::check_unmarked_siphons(net).clean() ? "clean"
-                                                           : "RAISED")
-            << "\n\n";
-
-  // --- performance ---------------------------------------------------------
-  // produce takes 3 time units, consume takes 5: the consumer limits the
-  // ring; with buffer capacity 2 the credit loop does not.
-  const auto timing = petri::marked_graph_cycle_time(net, {3.0, 5.0});
-  std::cout << "steady-state period (max cycle ratio): "
-            << format_double(timing.min_cycle_time, 2) << " time units\n";
-  std::cout << "(consume dominates: its ready-loop carries 1 token and "
-               "5 units of delay)\n\n";
+  std::cout << '\n';
 
   // --- token game -------------------------------------------------------------
   petri::Marking m = petri::Marking::initial(net);

@@ -105,7 +105,7 @@ void engine_differential(const dcf::System& system, std::uint64_t seed,
       so.max_cycles = opt.max_cycles;
       so.policy = policy;
       so.seed = seed + e;
-      so.record_registers = true;  // per-cycle records, registers included
+      so.record_cycles = true;  // per-cycle records, registers included
 
       so.engine = sim::SimEngine::kReference;
       const sim::SimResult ref = sim::simulate(system, env, so);

@@ -6,8 +6,8 @@
 // transform::PassStats), and the adapters in obs/adapters.h publish
 // those structs into one registry under a uniform naming scheme
 // ("sim.plan_cache.hits", "analysis.reachability.misses",
-// "pass.merge-all.seconds"). `--metrics[=FILE]` then snapshots the
-// registry as machine-readable JSON next to the trace timeline.
+// "pass.merge-all.seconds"). `--report[=FILE]` then embeds the
+// registry's machine-readable JSON snapshot in the run report.
 //
 // Thread-safe: every method takes the registry mutex; the recording
 // sites are coarse (per run / per pass / per sweep), not per cycle.

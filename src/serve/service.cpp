@@ -318,7 +318,6 @@ std::string Service::do_simulate(WorkerState& state, Job& job) {
   options.max_cycles = std::min<std::uint64_t>(
       uint_or(request, "max_cycles", 100000), options_.max_cycles_cap);
   options.seed = uint_or(request, "seed", 7);
-  options.record_registers = false;
   options.budget = job.budget.get();
   if (const JsonValue* p = request.find("policy")) {
     if (!p->is_string()) bad_request("field 'policy' must be a string");

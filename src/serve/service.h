@@ -99,7 +99,7 @@ class Service {
 
   /// Per-endpoint request counters and latency histograms, queue
   /// gauges, shared-tier counters — camadd folds this registry into its
-  /// --report/--metrics artifacts.
+  /// --report artifact.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
   [[nodiscard]] const ServiceOptions& options() const { return options_; }

@@ -188,7 +188,6 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
   DynamicBitset marked_bits;
   Rng rng(options.seed);
   bool reported_unsafe = false;
-  const bool record_cycles = options.record_cycles || options.record_registers;
 
   for (std::uint64_t cycle = 0; cycle < options.max_cycles; ++cycle) {
     if (marking.total() == 0) {  // rule 6
@@ -323,10 +322,8 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
       for (PlaceId p : net.post(t)) arrival[p.index()] = true;
     }
 
-    if (record_cycles) {
-      result.trace.cycles.push_back(
-          {cycle, marked, fired,
-           options.record_registers ? reg_state : std::vector<Value>{}});
+    if (options.record_cycles) {
+      result.trace.cycles.push_back({cycle, marked, fired, reg_state});
     }
 
     // Stuck detection: nothing fired, no register changed and no stream
@@ -522,7 +519,6 @@ SimResult run_plans(SimulatorState& state, Environment& env,
 
   Rng rng(options.seed);
   bool reported_unsafe = false;
-  const bool record_cycles = options.record_cycles || options.record_registers;
 
   // Plan pointer reuse across cycles in which nothing fired (the marking
   // — hence the plan — cannot have changed). Invalidated by evictions:
@@ -763,10 +759,9 @@ SimResult run_plans(SimulatorState& state, Environment& env,
       std::fill(s.arrival.begin(), s.arrival.end(), 0);
     }
 
-    if (record_cycles) {
+    if (options.record_cycles) {
       result.trace.cycles.push_back(
-          {cycle, plan->marked, s.fired,
-           options.record_registers ? s.reg_state : std::vector<Value>{}});
+          {cycle, plan->marked, s.fired, s.reg_state});
     }
 
     // Stuck detection: nothing fired, no register changed and no stream

@@ -72,15 +72,12 @@ struct SimOptions {
   std::uint64_t max_cycles = 100000;
   FiringPolicy policy = FiringPolicy::kMaximalStep;
   std::uint64_t seed = 1;  ///< for the random policies
-  /// Keep one CycleRecord per cycle (marked states, fired transitions):
-  /// a debugging view for `camadc sim --trace` and the engine
-  /// differential. The external events, the run's Def 3.4 observable,
-  /// are recorded either way, in one flat list.
+  /// Keep one CycleRecord per cycle (marked states, fired transitions,
+  /// post-latch register state): a debugging view for `camadc sim
+  /// --trace`, the VCD waveform writer and the engine differential. The
+  /// external events, the run's Def 3.4 observable, are recorded either
+  /// way, in one flat list.
   bool record_cycles = false;
-  /// Additionally record post-latch register state per cycle (indexed by
-  /// output-port id); needed by the VCD waveform writer. Implies
-  /// per-cycle records, since a register column needs its cycle.
-  bool record_registers = false;
   /// Which executor to use; both are observationally identical.
   SimEngine engine = SimEngine::kCompiled;
   /// LRU bound on memoized configurations (compiled plans / evaluation

@@ -4,7 +4,7 @@
 // Def 4.1 compares nothing else: the flat event list is the observable
 // every run records. Per-cycle records (marked states, fired
 // transitions, registers) are a debugging view that a run keeps only
-// when SimOptions::record_cycles or ::record_registers asks for it.
+// when SimOptions::record_cycles asks for it.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ struct CycleRecord {
   std::vector<petri::PlaceId> marked;
   std::vector<petri::TransitionId> fired;
   /// Register state per kReg output port at the *end* of the cycle
-  /// (after latching); only filled when SimOptions::record_registers.
+  /// (after latching).
   std::vector<dcf::Value> registers;
 
   friend bool operator==(const CycleRecord&, const CycleRecord&) = default;

@@ -4,7 +4,7 @@
 // waveform viewer (GTKWave etc.): one 64-bit signal per register, one
 // 1-bit signal per control state (token present), plus the fired
 // transitions as events. Requires the run to have been simulated with
-// SimOptions::record_registers, which implies per-cycle records.
+// SimOptions::record_cycles.
 #pragma once
 
 #include <string>
@@ -16,7 +16,7 @@ namespace camad::sim {
 
 /// VCD text for the run's trace. Undefined register values render as 'x'.
 /// Throws SimulationError if the design has registers and the run has
-/// cycles but no per-cycle register records; a zero-cycle run needs none
+/// cycles but no per-cycle records; a zero-cycle run needs none
 /// and yields the header alone. A run stopped by a combinational loop in
 /// its first cycle records no cycle either, so it is refused as well.
 std::string to_vcd(const dcf::System& system, const SimResult& result);

@@ -159,29 +159,20 @@ PerformanceReport measure_performance(const dcf::System& system,
   sim::SimOptions sim_options;
   sim_options.max_cycles = options.max_cycles;
 
-  std::vector<sim::SimResult> results;
-  if (options.share_engine) {
-    // One engine for all environments: configuration plans compile once
-    // per measurement. Serial on purpose — the optimizer parallelizes
-    // across *candidates*, so nesting another pool here would
-    // oversubscribe.
-    std::vector<sim::BatchRun> runs;
-    runs.reserve(options.environments);
-    for (std::size_t k = 0; k < options.environments; ++k) {
-      runs.push_back({sim::Environment::random_for(
-                          system, options.seed + k, options.stream_length,
-                          options.value_lo, options.value_hi),
-                      sim_options});
-    }
-    results = sim::simulate_batch(system, runs, /*threads=*/1);
-  } else {
-    for (std::size_t k = 0; k < options.environments; ++k) {
-      sim::Environment env = sim::Environment::random_for(
-          system, options.seed + k, options.stream_length, options.value_lo,
-          options.value_hi);
-      results.push_back(sim::simulate(system, env, sim_options));
-    }
+  // One engine for all environments: configuration plans compile once
+  // per measurement. Serial on purpose — the optimizer parallelizes
+  // across *candidates*, so nesting another pool here would
+  // oversubscribe.
+  std::vector<sim::BatchRun> runs;
+  runs.reserve(options.environments);
+  for (std::size_t k = 0; k < options.environments; ++k) {
+    runs.push_back({sim::Environment::random_for(
+                        system, options.seed + k, options.stream_length,
+                        options.value_lo, options.value_hi),
+                    sim_options});
   }
+  const std::vector<sim::SimResult> results =
+      sim::simulate_batch(system, runs, /*threads=*/1);
 
   double total = 0;
   for (const sim::SimResult& result : results) {

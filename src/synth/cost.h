@@ -67,16 +67,12 @@ struct MeasureOptions {
   std::int64_t value_lo = 1;
   std::int64_t value_hi = 99;
   std::uint64_t max_cycles = 200000;
-  /// Route the runs through sim::simulate_batch, so one engine serves
-  /// every environment and configuration plans compile once per
-  /// measurement instead of once per environment. Off = a fresh engine
-  /// per environment (the pre-batch behaviour; identical results either
-  /// way — kept as the baseline for bench_optimizer).
-  bool share_engine = true;
 };
 
 /// Simulates the system over random environments and combines the cycle
-/// counts with the estimated cycle time.
+/// counts with the estimated cycle time. The runs go through
+/// sim::simulate_batch, so one engine serves every environment and
+/// configuration plans compile once per measurement.
 PerformanceReport measure_performance(const dcf::System& system,
                                       const ModuleLibrary& lib,
                                       const MeasureOptions& options = {});

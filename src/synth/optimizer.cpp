@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,7 +24,6 @@
 #include "transform/split.h"
 #include "util/error.h"
 #include "util/json.h"
-#include "util/rng.h"
 
 namespace camad::synth {
 namespace {
@@ -83,12 +81,10 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
                          const OptimizerOptions& options) {
   const obs::ObsSpan optimize_span("optimize");
   dcf::System master = serial;
-  std::optional<semantics::AnalysisCache> cache;
-  if (options.use_analysis_cache) cache.emplace(master);
+  semantics::AnalysisCache cache(master);
 
   OptimizerResult result;
-  dcf::System best =
-      cache ? derive_schedule(master, *cache) : derive_schedule(master);
+  dcf::System best = derive_schedule(master, cache);
   const Metrics baseline =
       evaluate(best, lib, options.measure, &result.sim_stats);
   ++result.candidates_evaluated;
@@ -106,13 +102,12 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
     const obs::ObsSpan sweep_span("optimize.sweep", [&] {
       return "{\"step\":" + std::to_string(step) + "}";
     });
-    const auto pairs = cache ? transform::mergeable_pairs(master, *cache)
-                             : transform::mergeable_pairs(master);
+    const auto pairs = transform::mergeable_pairs(master, cache);
     if (pairs.empty()) break;
 
     // Every worker reads order/concurrency through the shared cache —
     // force them now so first touch doesn't serialize the fan-out.
-    if (cache) cache->warm_control();
+    cache.warm_control();
 
     std::vector<Candidate> candidates(pairs.size());
     sim::parallel_jobs(
@@ -122,11 +117,8 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
             return "{\"pair\":" + std::to_string(i) + "}";
           });
           Candidate& c = candidates[i];
-          c.master = cache ? transform::merge_vertices(
-                                 master, pairs[i].first, pairs[i].second,
-                                 *cache)
-                           : transform::merge_vertices(
-                                 master, pairs[i].first, pairs[i].second);
+          c.master = transform::merge_vertices(master, pairs[i].first,
+                                               pairs[i].second, cache);
           // The merged system is a different net object per candidate:
           // its schedule cannot reuse the master's cache.
           c.scheduled = derive_schedule(c.master);
@@ -172,10 +164,8 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
          accepted.metrics, accepted.objective});
     trace_accept(result.steps.back().description, accepted.objective);
     master = std::move(accepted.master);
-    if (cache) {
-      result.analysis_stats += cache->stats();
-      cache = cache->successor(master, transform::merge_preserved_analyses());
-    }
+    result.analysis_stats += cache.stats();
+    cache = cache.successor(master, transform::merge_preserved_analyses());
     best = std::move(accepted.scheduled);
     best_objective = winner_objective;
     ++result.merges_applied;
@@ -190,28 +180,16 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
     dcf::System master;
   };
   std::vector<PostPass> post;
-  if (options.try_register_sharing) {
-    post.push_back({"share registers",
-                    cache ? transform::share_registers(master, *cache)
-                          : transform::share_registers(master)});
-  }
-  if (options.try_chaining) {
-    post.push_back({"chain states",
-                    cache ? transform::chain_states(master, *cache)
-                          : transform::chain_states(master)});
-    if (options.try_register_sharing) {
-      const dcf::System& shared = post.front().master;
-      if (cache) {
-        const semantics::AnalysisCache shared_cache = cache->successor(
-            shared, transform::regshare_preserved_analyses());
-        post.push_back({"share registers + chain states",
-                        transform::chain_states(shared, shared_cache)});
-        result.analysis_stats += shared_cache.stats();
-      } else {
-        post.push_back({"share registers + chain states",
-                        transform::chain_states(shared)});
-      }
-    }
+  post.push_back(
+      {"share registers", transform::share_registers(master, cache)});
+  post.push_back({"chain states", transform::chain_states(master, cache)});
+  {
+    const dcf::System& shared = post.front().master;
+    const semantics::AnalysisCache shared_cache =
+        cache.successor(shared, transform::regshare_preserved_analyses());
+    post.push_back({"share registers + chain states",
+                    transform::chain_states(shared, shared_cache)});
+    result.analysis_stats += shared_cache.stats();
   }
 
   std::vector<Candidate> post_eval(post.size());
@@ -248,109 +226,11 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
     }
   }
 
-  if (cache) result.analysis_stats += cache->stats();
+  result.analysis_stats += cache.stats();
   result.best = best;
   result.serial_master = master;
   result.final = result.steps.back().metrics;
   return result;
-}
-
-OptimizerResult optimize_stochastic(const dcf::System& serial,
-                                    const ModuleLibrary& lib,
-                                    const StochasticOptions& options) {
-  const obs::ObsSpan optimize_span("optimize.stochastic");
-  sim::SimStats sim_total;
-  semantics::AnalysisCacheStats analysis_total;
-  std::size_t evaluations = 0;
-  std::optional<semantics::AnalysisCache> base;
-  if (options.base.use_analysis_cache) base.emplace(serial);
-
-  const dcf::System initial_scheduled =
-      base ? derive_schedule(serial, *base) : derive_schedule(serial);
-  const Metrics baseline =
-      evaluate(initial_scheduled, lib, options.base.measure, &sim_total);
-  ++evaluations;
-  const double initial_objective =
-      objective_of(baseline, baseline, options.base.area_weight);
-  Rng rng(options.seed);
-
-  OptimizerResult best_run;
-  double best_objective = std::numeric_limits<double>::infinity();
-
-  for (std::size_t restart = 0; restart < options.restarts; ++restart) {
-    dcf::System master = serial;
-    // The restart's master is a fresh copy of the unchanged serial
-    // design, so every analysis of `base` is valid for it.
-    std::optional<semantics::AnalysisCache> cache;
-    if (base) {
-      cache = base->successor(master, semantics::PreservedAnalyses::all());
-    }
-    dcf::System scheduled = initial_scheduled;
-    double objective = initial_objective;
-    OptimizerResult run;
-    run.best = scheduled;
-    run.serial_master = master;
-    run.initial = baseline;
-    run.final = baseline;
-
-    for (std::size_t step = 0; step < options.base.max_steps; ++step) {
-      auto pairs = cache ? transform::mergeable_pairs(master, *cache)
-                         : transform::mergeable_pairs(master);
-      if (pairs.empty()) break;
-      for (std::size_t i = pairs.size(); i > 1; --i) {
-        std::swap(pairs[i - 1], pairs[rng.below(i)]);
-      }
-      // First *improving* merger in the shuffled order.
-      bool improved = false;
-      for (const auto& [vi, vj] : pairs) {
-        dcf::System merged =
-            cache ? transform::merge_vertices(master, vi, vj, *cache)
-                  : transform::merge_vertices(master, vi, vj);
-        dcf::System candidate = derive_schedule(merged);
-        const Metrics metrics =
-            evaluate(candidate, lib, options.base.measure, &sim_total);
-        ++evaluations;
-        const double candidate_objective =
-            objective_of(metrics, baseline, options.base.area_weight);
-        if (candidate_objective < objective - 1e-12) {
-          master = std::move(merged);
-          if (cache) {
-            analysis_total += cache->stats();
-            cache = cache->successor(
-                master, transform::merge_preserved_analyses());
-          }
-          scheduled = std::move(candidate);
-          objective = candidate_objective;
-          ++run.merges_applied;
-          run.steps.push_back({"stochastic merge", metrics,
-                               candidate_objective});
-          improved = true;
-          break;
-        }
-      }
-      if (!improved) break;
-    }
-    if (cache) analysis_total += cache->stats();
-
-    if (objective < best_objective) {
-      best_objective = objective;
-      run.best = scheduled;
-      run.serial_master = master;
-      run.final = run.steps.empty() ? baseline : run.steps.back().metrics;
-      best_run = std::move(run);
-    }
-  }
-  if (best_run.steps.empty()) {
-    best_run.steps.push_back({"initial (stochastic)", baseline,
-                              initial_objective});
-    best_run.final = baseline;
-  }
-  if (base) analysis_total += base->stats();
-  // Search-wide totals, not just the winning restart's share.
-  best_run.sim_stats = sim_total;
-  best_run.analysis_stats = analysis_total;
-  best_run.candidates_evaluated = evaluations;
-  return best_run;
 }
 
 namespace {
@@ -360,10 +240,18 @@ namespace {
 /// reshuffles, and so frontier points and child candidates can alias it.
 struct BeamEntry {
   std::shared_ptr<const dcf::System> master;
-  std::shared_ptr<const semantics::AnalysisCache> cache;  // null = uncached
+  std::shared_ptr<const semantics::AnalysisCache> cache;
   transform::Provenance provenance;
   std::uint64_t hash = 0;  ///< design_hash of *master
 };
+
+/// The Pareto search stops after this many consecutive generations
+/// without a frontier insertion.
+constexpr std::size_t kStallGenerations = 2;
+/// Split actions enumerated per candidate per generation: splits mostly
+/// re-open merged routes, and a small cap keeps them from dominating the
+/// job list.
+constexpr std::size_t kMaxSplitActions = 8;
 
 enum class ActionKind : std::uint8_t { kMerge, kSplit, kRegshare, kChain };
 
@@ -403,35 +291,28 @@ semantics::PreservedAnalyses action_preserved(ActionKind kind) {
 }
 
 dcf::System apply_action(const dcf::System& master,
-                         const semantics::AnalysisCache* cache,
+                         const semantics::AnalysisCache& cache,
                          const Action& action) {
   switch (action.kind) {
     case ActionKind::kMerge:
-      return cache ? transform::merge_vertices(master, action.vi, action.vj,
-                                               *cache)
-                   : transform::merge_vertices(master, action.vi, action.vj);
+      return transform::merge_vertices(master, action.vi, action.vj, cache);
     case ActionKind::kSplit:
       return transform::split_vertex(master, action.split_unit,
                                      {action.split_state});
     case ActionKind::kRegshare:
-      return cache ? transform::share_registers(master, *cache)
-                   : transform::share_registers(master);
+      return transform::share_registers(master, cache);
     case ActionKind::kChain:
-      return cache ? transform::chain_states(master, *cache)
-                   : transform::chain_states(master);
+      return transform::chain_states(master, cache);
   }
   throw TransformError("unknown optimizer action");
 }
 
 void enumerate_actions(const BeamEntry& entry, std::size_t parent,
-                       const ParetoOptions& options,
                        std::vector<Action>& out) {
   const dcf::System& master = *entry.master;
   const dcf::DataPath& dp = master.datapath();
 
-  const auto pairs = entry.cache
-                         ? transform::mergeable_pairs(master, *entry.cache)
-                         : transform::mergeable_pairs(master);
+  const auto pairs = transform::mergeable_pairs(master, *entry.cache);
   for (const auto& [vi, vj] : pairs) {
     Action a;
     a.kind = ActionKind::kMerge;
@@ -454,12 +335,12 @@ void enumerate_actions(const BeamEntry& entry, std::size_t parent,
     }
   }
   std::size_t splits = 0;
-  for (std::size_t i = 0;
-       i < states_of.size() && splits < options.max_split_actions; ++i) {
+  for (std::size_t i = 0; i < states_of.size() && splits < kMaxSplitActions;
+       ++i) {
     if (states_of[i].size() < 2) continue;
     const dcf::VertexId v(static_cast<std::uint32_t>(i));
     for (const petri::PlaceId s : states_of[i]) {
-      if (splits >= options.max_split_actions) break;
+      if (splits >= kMaxSplitActions) break;
       if (!transform::can_split(master, v, {s}).legal) continue;
       Action a;
       a.kind = ActionKind::kSplit;
@@ -518,14 +399,9 @@ ParetoResult optimize_pareto(const dcf::System& serial,
 
   // Seed candidate: the untransformed serial master.
   const auto seed_master = std::make_shared<const dcf::System>(serial);
-  std::shared_ptr<const semantics::AnalysisCache> seed_cache;
-  if (options.use_analysis_cache) {
-    seed_cache = std::make_shared<const semantics::AnalysisCache>(
-        *seed_master);
-  }
-  dcf::System seed_scheduled = seed_cache
-                                   ? derive_schedule(*seed_master, *seed_cache)
-                                   : derive_schedule(*seed_master);
+  const auto seed_cache =
+      std::make_shared<const semantics::AnalysisCache>(*seed_master);
+  dcf::System seed_scheduled = derive_schedule(*seed_master, *seed_cache);
   result.initial =
       evaluate(seed_scheduled, lib, options.measure, &result.sim_stats);
   ++result.candidates_evaluated;
@@ -538,7 +414,7 @@ ParetoResult optimize_pareto(const dcf::System& serial,
   explored.insert(seed_hash);
   frontier.insert(
       {*seed_master, std::move(seed_scheduled), initial, {}, seed_hash});
-  if (seed_cache) cache_registry.emplace_back(seed_master, seed_cache);
+  cache_registry.emplace_back(seed_master, seed_cache);
 
   std::vector<BeamEntry> beam;
   beam.push_back({seed_master, seed_cache, {}, seed_hash});
@@ -557,7 +433,7 @@ ParetoResult optimize_pareto(const dcf::System& serial,
     for (std::size_t i = 0; i < beam.size(); ++i) {
       if (!expanded_designs.insert(beam[i].hash).second) continue;
       active.push_back(i);
-      enumerate_actions(beam[i], i, options, actions);
+      enumerate_actions(beam[i], i, actions);
     }
     const obs::ObsSpan gen_span("pareto.generation", [&] {
       return "{\"generation\":" + std::to_string(gen) +
@@ -572,15 +448,13 @@ ParetoResult optimize_pareto(const dcf::System& serial,
     // (order/concurrency for merges, dependence for chain, liveness for
     // regshare) so a lazy first touch under the cache lock never stalls
     // sibling jobs.
-    if (options.use_analysis_cache) {
-      sim::parallel_jobs(active.size(), options.eval_threads,
-                         [&](std::size_t /*worker*/, std::size_t k) {
-                           const BeamEntry& entry = beam[active[k]];
-                           entry.cache->warm_control();
-                           entry.cache->dependence();
-                           transform::cached_liveness(*entry.cache);
-                         });
-    }
+    sim::parallel_jobs(active.size(), options.eval_threads,
+                       [&](std::size_t /*worker*/, std::size_t k) {
+                         const BeamEntry& entry = beam[active[k]];
+                         entry.cache->warm_control();
+                         entry.cache->dependence();
+                         transform::cached_liveness(*entry.cache);
+                       });
 
     // Phase A — apply + hash every successor in parallel. Cheap relative
     // to measurement, so dedup (serial, in job order) happens *before*
@@ -599,7 +473,7 @@ ParetoResult optimize_pareto(const dcf::System& serial,
           });
           const BeamEntry& parent = beam[actions[j].parent];
           dcf::System next =
-              apply_action(*parent.master, parent.cache.get(), actions[j]);
+              apply_action(*parent.master, *parent.cache, actions[j]);
           expanded[j].hash = design_hash(next);
           expanded[j].master =
               std::make_shared<const dcf::System>(std::move(next));
@@ -660,15 +534,13 @@ ParetoResult optimize_pareto(const dcf::System& serial,
       child.master = expanded[j].master;
       child.hash = expanded[j].hash;
       child.provenance = std::move(provenance);
-      if (options.use_analysis_cache) {
-        // Carry the parent's declared-preserved analyses into the
-        // child's cache — the Pass framework's successor() protocol,
-        // applied per search edge.
-        child.cache = std::make_shared<const semantics::AnalysisCache>(
-            beam[action.parent].cache->successor(
-                *child.master, action_preserved(action.kind)));
-        cache_registry.emplace_back(child.master, child.cache);
-      }
+      // Carry the parent's declared-preserved analyses into the child's
+      // cache — the Pass framework's successor() protocol, applied per
+      // search edge.
+      child.cache = std::make_shared<const semantics::AnalysisCache>(
+          beam[action.parent].cache->successor(*child.master,
+                                               action_preserved(action.kind)));
+      cache_registry.emplace_back(child.master, child.cache);
       return child;
     };
     for (std::size_t k = 0; k < fresh.size(); ++k) {
@@ -811,7 +683,7 @@ ParetoResult optimize_pareto(const dcf::System& serial,
 
     if (inserted_any) {
       stall = 0;
-    } else if (++stall >= options.stall_generations) {
+    } else if (++stall >= kStallGenerations) {
       result.stop_reason = "converged";
       break;
     }

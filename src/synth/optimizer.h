@@ -13,9 +13,13 @@
 //
 // Each candidate configuration is evaluated on real numbers: estimated
 // area (module library + steering muxes) and measured execution time
-// (simulated cycles × estimated cycle time). Greedy steepest-descent
-// accepts the merger that most improves the weighted objective; the
-// area-weight λ sweeps out the area/delay trade-off curve (E3).
+// (simulated cycles × estimated cycle time). Two strategies walk this
+// space: `optimize`, a greedy descent on one λ-weighted objective (the
+// default of `camadc synth`, and what synth::synthesize calls), and
+// `optimize_pareto`, a beam search whose frontier is the area/time
+// trade-off curve (E3). The frontier weakly dominates the greedy
+// endpoint on every bench design; docs/TRANSFORMATIONS.md says why
+// both are kept.
 #pragma once
 
 #include <string>
@@ -42,19 +46,6 @@ struct OptimizerOptions {
   /// Verify each accepted step by differential simulation (slow, for
   /// tests and paranoid runs).
   bool verify_steps = false;
-  /// Post-passes evaluated after the merge loop and kept when they
-  /// improve the objective: register sharing (live-range coalescing,
-  /// saves register+mux area but may serialize the schedule through the
-  /// shared registers) and control-state chaining (merges independent
-  /// adjacent states, saving cycles at zero area cost).
-  bool try_register_sharing = true;
-  bool try_chaining = true;
-  /// Share one semantics::AnalysisCache across the merge-pair sweep: the
-  /// Def 4.6 merger preserves the control net, so reachability,
-  /// concurrency and structural order are explored once per accepted
-  /// step instead of once per candidate. Off = recompute everything per
-  /// candidate (the pre-cache behaviour; results are identical).
-  bool use_analysis_cache = true;
   /// Worker threads for candidate evaluation (0 = hardware concurrency,
   /// 1 = serial). Candidates are independent and selection is a
   /// deterministic earliest-index argmin, so results are identical
@@ -98,27 +89,21 @@ dcf::System derive_schedule(const dcf::System& master);
 dcf::System derive_schedule(const dcf::System& master,
                             const semantics::AnalysisCache& cache);
 
-/// Optimizes a *serial* compiled design. Throws TransformError if
-/// verification is enabled and a step fails it.
+/// Greedy steepest descent from a *serial* compiled design. Each step
+/// applies the mergeable pair whose schedule has the lowest objective
+/// (earliest pair on ties) while that improves on the current design.
+/// Then the post-passes run: register sharing (live-range coalescing,
+/// saving register and mux area but possibly serializing the schedule
+/// through the shared registers), state chaining (merging independent
+/// adjacent states, saving cycles at no area cost) and both in turn,
+/// each kept only when it improves the objective. One
+/// semantics::AnalysisCache follows the master across accepted steps:
+/// the Def 4.6 merger preserves the control net, so reachability,
+/// concurrency and structural order are explored once per step, not
+/// once per candidate. Throws TransformError if verification is enabled
+/// and a step fails it.
 OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
                          const OptimizerOptions& options = {});
-
-struct StochasticOptions {
-  OptimizerOptions base;
-  std::size_t restarts = 4;
-  std::uint64_t seed = 1;
-};
-
-/// Search-strategy alternative: random-restart stochastic descent. Each
-/// restart walks a random sequence of *improving* mergers (first
-/// improving candidate in shuffled order, rather than the best), then
-/// applies the same post-passes; the best restart wins. Trades the
-/// greedy search's O(pairs²) evaluations per step for more, cheaper
-/// walks — and can escape greedy's myopia on rugged objectives. Compared
-/// against plain `optimize` in bench_optimizer.
-OptimizerResult optimize_stochastic(const dcf::System& serial,
-                                    const ModuleLibrary& lib,
-                                    const StochasticOptions& options = {});
 
 /// Reference corner for the normalized hypervolume: (area, time) are
 /// divided by the initial (parallelized, untransformed) metrics, and the
@@ -130,11 +115,11 @@ struct ParetoOptions {
   /// Candidates carried between generations. The frontier itself is not
   /// truncated to the beam — every evaluated successor competes for it.
   std::size_t beam_width = 6;
+  /// Generation cap. The search also stops when two generations in a
+  /// row insert nothing into the frontier (merge-rich designs insert
+  /// every generation until the merge supply is exhausted, so this
+  /// triggers only at convergence).
   std::size_t generations = 64;
-  /// Stop after this many consecutive generations without a frontier
-  /// insertion (merge-rich designs insert every generation until the
-  /// merge supply is exhausted, so this triggers only at convergence).
-  std::size_t stall_generations = 2;
   MeasureOptions measure;
   /// Worker threads for expansion/measurement fan-out (0 = hardware).
   /// The frontier is byte-identical at any count: jobs are enumerated in
@@ -142,16 +127,11 @@ struct ParetoOptions {
   /// dedup / insertion / selection decision happens serially in job
   /// order (the PR 3 argmin discipline, generalized).
   std::size_t eval_threads = 0;
-  bool use_analysis_cache = true;
   /// Check every reported frontier point equivalent to the seed via the
   /// Def 4.1 differential oracle; a failure throws TransformError naming
   /// the point's provenance.
   bool verify_frontier = true;
   semantics::DifferentialOptions verify;
-  /// Split actions enumerated per candidate per generation (splits
-  /// mostly re-open merged routes; a small cap keeps them from
-  /// dominating the job list).
-  std::size_t max_split_actions = 8;
   /// Scalarization grid for the reserved beam slots: for each λ the
   /// earliest-index argmin of λ·area_norm + (1-λ)·time_norm survives,
   /// so the beam always carries the pure-area, pure-time and balanced

@@ -217,7 +217,7 @@ TEST(Vcd, EmitsHeaderSignalsAndChanges) {
   sim::Environment env;
   env.set_stream(sys.datapath().find_vertex("a"), {41});
   sim::SimOptions options;
-  options.record_registers = true;
+  options.record_cycles = true;
   const sim::SimResult result = sim::simulate(sys, env, options);
 
   const std::string vcd = sim::to_vcd(sys, result);
@@ -259,7 +259,7 @@ TEST(Vcd, ZeroCycleRunWritesHeaderOnly) {
   sim::Environment env;
   sim::SimOptions options;
   options.max_cycles = 0;
-  options.record_registers = true;
+  options.record_cycles = true;
   const sim::SimResult result = sim::simulate(sys, env, options);
   ASSERT_EQ(result.cycles, 0u);
   const std::string vcd = sim::to_vcd(sys, result);
@@ -274,7 +274,7 @@ TEST(Vcd, TokenFlowVisibleAsStateBits) {
   env.set_stream(sys.datapath().find_vertex("a"), {12});
   env.set_stream(sys.datapath().find_vertex("b"), {8});
   sim::SimOptions options;
-  options.record_registers = true;
+  options.record_cycles = true;
   const sim::SimResult result = sim::simulate(sys, env, options);
   const std::string vcd = sim::to_vcd(sys, result);
   // Every cycle emits a timestamp; count them.

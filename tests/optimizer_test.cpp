@@ -27,7 +27,6 @@
 #include "synth/optimizer.h"
 #include "transform/merge.h"
 #include "transform/passes.h"
-#include "transform/pipeline.h"
 #include "workloads.h"
 
 namespace camad::synth {
@@ -501,14 +500,6 @@ TEST(Provenance, PassPipelineRecordsChain) {
       transform::provenance_to_string(pipeline.provenance());
   EXPECT_NE(rendered.find("parallelize"), std::string::npos);
   EXPECT_NE(rendered.find(" > "), std::string::npos);
-}
-
-TEST(Provenance, PipelineRecordsChain) {
-  transform::Pipeline pipeline(test::make_gcd());
-  pipeline.merge_all().cleanup();
-  ASSERT_EQ(pipeline.provenance().size(), 2u);
-  EXPECT_EQ(pipeline.provenance()[0].pass, "merge_all");
-  EXPECT_EQ(pipeline.provenance()[1].pass, "cleanup");
 }
 
 TEST(Provenance, EmptyChainRendersSeed) {

@@ -9,14 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcf/io.h"
 #include "gen/oracle.h"
 #include "gen/sysgen.h"
 #include "semantics/analysis.h"
+#include "sim/environment.h"
+#include "sim/simulator.h"
 #include "synth/compile.h"
+#include "synth/cost.h"
 #include "synth/designs.h"
 #include "synth/library.h"
 #include "synth/optimizer.h"
@@ -205,65 +210,145 @@ TEST(PreservedAnalysesSoundness, SuccessorShapeGuardOverridesDeclaration) {
 
 // --- optimizer: cached/parallel path is behaviour-identical -----------------
 
-TEST(OptimizerCache, CachedParallelMatchesUncachedSerial) {
-  const dcf::System serial = synth::compile_source(
-      std::string(synth::gcd_source()));
-  const synth::ModuleLibrary lib = synth::ModuleLibrary::standard();
-
-  // The full pre-PR configuration vs the full new one: no analysis
-  // reuse + cold engine per environment + serial sweep, against shared
-  // cache + batched measurement + parallel sweep. Everything must be
-  // bit-identical.
-  synth::OptimizerOptions uncached;
-  uncached.max_steps = 4;
-  uncached.measure.environments = 2;
-  uncached.measure.share_engine = false;
-  uncached.use_analysis_cache = false;
-  uncached.eval_threads = 1;
-
-  synth::OptimizerOptions cached = uncached;
-  cached.measure.share_engine = true;
-  cached.use_analysis_cache = true;
-  cached.eval_threads = 0;
-
-  const synth::OptimizerResult a = synth::optimize(serial, lib, uncached);
-  const synth::OptimizerResult b = synth::optimize(serial, lib, cached);
-
-  EXPECT_EQ(a.merges_applied, b.merges_applied);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_EQ(a.steps[i].description, b.steps[i].description);
-    EXPECT_EQ(a.steps[i].objective, b.steps[i].objective);
-    EXPECT_EQ(a.steps[i].metrics.area, b.steps[i].metrics.area);
-    EXPECT_EQ(a.steps[i].metrics.time_ns, b.steps[i].metrics.time_ns);
+/// synth::evaluate without the batched engine: one sim::simulate, on a
+/// fresh engine, per environment.
+synth::Metrics reference_evaluate(const dcf::System& system,
+                                  const synth::ModuleLibrary& lib,
+                                  const synth::MeasureOptions& options) {
+  sim::SimOptions sim_options;
+  sim_options.max_cycles = options.max_cycles;
+  double total = 0;
+  for (std::size_t k = 0; k < options.environments; ++k) {
+    sim::Environment env = sim::Environment::random_for(
+        system, options.seed + k, options.stream_length, options.value_lo,
+        options.value_hi);
+    total += static_cast<double>(
+        sim::simulate(system, env, sim_options).cycles);
   }
-  EXPECT_EQ(dcf::save_system(a.best), dcf::save_system(b.best));
-  EXPECT_EQ(dcf::save_system(a.serial_master),
-            dcf::save_system(b.serial_master));
+  synth::Metrics m;
+  m.area = synth::estimate_area(system, lib).total();
+  m.mean_cycles = options.environments == 0
+                      ? 0
+                      : total / static_cast<double>(options.environments);
+  m.cycle_time = synth::estimate_cycle_time(system, lib).cycle_time;
+  m.time_ns = m.mean_cycles * m.cycle_time;
+  return m;
 }
 
-TEST(OptimizerCache, StochasticCachedMatchesUncached) {
-  const dcf::System serial = synth::compile_source(
-      std::string(synth::gcd_source()));
+/// The greedy sweep as one serial loop with no analysis reuse: every
+/// candidate goes through the uncached transform overloads, and the
+/// post-passes (register sharing, chaining, both) run the same way.
+synth::OptimizerResult reference_optimize(
+    const dcf::System& serial, const synth::ModuleLibrary& lib,
+    const synth::OptimizerOptions& options) {
+  synth::OptimizerResult result;
+  dcf::System master = serial;
+  dcf::System best = synth::derive_schedule(master);
+  const synth::Metrics baseline =
+      reference_evaluate(best, lib, options.measure);
+  const auto objective_of = [&](const synth::Metrics& m) {
+    const double area_norm =
+        baseline.area > 0 ? m.area / baseline.area : 1.0;
+    const double time_norm =
+        baseline.time_ns > 0 ? m.time_ns / baseline.time_ns : 1.0;
+    return options.area_weight * area_norm +
+           (1.0 - options.area_weight) * time_norm;
+  };
+  double best_objective = objective_of(baseline);
+  result.steps.push_back(
+      {"initial (no mergers, parallelized)", baseline, best_objective});
+
+  for (std::size_t step = 0; step < options.max_steps; ++step) {
+    const auto pairs = transform::mergeable_pairs(master);
+    std::size_t winner = pairs.size();
+    double winner_objective = std::numeric_limits<double>::infinity();
+    dcf::System winner_master;
+    dcf::System winner_scheduled;
+    synth::Metrics winner_metrics;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      dcf::System merged =
+          transform::merge_vertices(master, pairs[i].first, pairs[i].second);
+      dcf::System scheduled = synth::derive_schedule(merged);
+      const synth::Metrics metrics =
+          reference_evaluate(scheduled, lib, options.measure);
+      const double objective = objective_of(metrics);
+      if (objective < winner_objective) {
+        winner = i;
+        winner_objective = objective;
+        winner_master = std::move(merged);
+        winner_scheduled = std::move(scheduled);
+        winner_metrics = metrics;
+      }
+    }
+    if (winner == pairs.size() ||
+        winner_objective >= best_objective - 1e-12) {
+      break;
+    }
+    const dcf::DataPath& dp = master.datapath();
+    result.steps.push_back({"merge " + dp.name(pairs[winner].first) +
+                                " into " + dp.name(pairs[winner].second),
+                            winner_metrics, winner_objective});
+    master = std::move(winner_master);
+    best = std::move(winner_scheduled);
+    best_objective = winner_objective;
+  }
+
+  const dcf::System shared = transform::share_registers(master);
+  const std::vector<std::pair<std::string, dcf::System>> post = {
+      {"share registers", shared},
+      {"chain states", transform::chain_states(master)},
+      {"share registers + chain states", transform::chain_states(shared)}};
+  for (const auto& [name, candidate] : post) {
+    dcf::System scheduled = synth::derive_schedule(candidate);
+    const synth::Metrics metrics =
+        reference_evaluate(scheduled, lib, options.measure);
+    const double objective = objective_of(metrics);
+    if (objective < best_objective - 1e-12) {
+      result.steps.push_back({name, metrics, objective});
+      master = candidate;
+      best = std::move(scheduled);
+      best_objective = objective;
+    }
+  }
+  result.best = std::move(best);
+  result.serial_master = std::move(master);
+  return result;
+}
+
+TEST(OptimizerCache, CachedParallelMatchesUncachedSerial) {
   const synth::ModuleLibrary lib = synth::ModuleLibrary::standard();
-
-  synth::StochasticOptions uncached;
-  uncached.base.max_steps = 3;
-  uncached.base.measure.environments = 2;
-  uncached.base.use_analysis_cache = false;
-  uncached.restarts = 2;
-
-  synth::StochasticOptions cached = uncached;
-  cached.base.use_analysis_cache = true;
-
-  const synth::OptimizerResult a =
-      synth::optimize_stochastic(serial, lib, uncached);
-  const synth::OptimizerResult b =
-      synth::optimize_stochastic(serial, lib, cached);
-
-  EXPECT_EQ(a.merges_applied, b.merges_applied);
-  EXPECT_EQ(a.steps.size(), b.steps.size());
-  EXPECT_EQ(dcf::save_system(a.best), dcf::save_system(b.best));
+  for (const std::string_view source :
+       {synth::gcd_source(), synth::diffeq_source()}) {
+    const dcf::System serial = synth::compile_source(std::string(source));
+    synth::OptimizerOptions options;
+    options.max_steps = 4;
+    options.measure.environments = 2;
+    const synth::OptimizerResult reference =
+        reference_optimize(serial, lib, options);
+    // The shared cache, batched measurement and parallel sweep must
+    // walk the reference's trajectory at any thread count.
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(serial.name() + " at " + std::to_string(threads) +
+                   " thread(s)");
+      options.eval_threads = threads;
+      const synth::OptimizerResult result =
+          synth::optimize(serial, lib, options);
+      ASSERT_EQ(result.steps.size(), reference.steps.size());
+      for (std::size_t i = 0; i < result.steps.size(); ++i) {
+        EXPECT_EQ(result.steps[i].description,
+                  reference.steps[i].description);
+        EXPECT_EQ(result.steps[i].objective, reference.steps[i].objective);
+        EXPECT_EQ(result.steps[i].metrics.area,
+                  reference.steps[i].metrics.area);
+        EXPECT_EQ(result.steps[i].metrics.time_ns,
+                  reference.steps[i].metrics.time_ns);
+      }
+      EXPECT_EQ(dcf::save_system(result.best),
+                dcf::save_system(reference.best));
+      EXPECT_EQ(dcf::save_system(result.serial_master),
+                dcf::save_system(reference.serial_master));
+    }
+  }
 }
 
 // --- 200-seed oracle battery through the PassPipeline route -----------------

@@ -70,7 +70,6 @@ sim::SimResult run_engine(const dcf::System& sys, sim::SimEngine engine,
   options.policy = policy;
   options.seed = seed;
   options.record_cycles = true;
-  options.record_registers = true;
   return sim::simulate(sys, env, options);
 }
 
@@ -268,7 +267,7 @@ TEST(SimEngineDeterminism, BatchMatchesSequential) {
               sim::Environment::random_for(sys, 100 + k, 32, 1, 30);
           job.options.policy = policy;
           job.options.seed = 100 + k;
-          job.options.record_registers = true;
+          job.options.record_cycles = true;
           runs.push_back(std::move(job));
         }
         return runs;
@@ -347,7 +346,6 @@ TEST(SimEngineRecording, DefaultRunMatchesRecordingRun) {
           const sim::SimResult plain = sim::simulate(d.system, env, options);
           env.rewind();
           options.record_cycles = true;
-          options.record_registers = true;
           const sim::SimResult recorded =
               sim::simulate(d.system, env, options);
 

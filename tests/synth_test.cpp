@@ -143,33 +143,6 @@ TEST(Optimizer, DelayWeightZeroKeepsSpeed) {
   EXPECT_LE(area.final.area, speed.final.area);
 }
 
-TEST(Optimizer, StochasticFindsComparableDesigns) {
-  const dcf::System serial = compile_source(std::string(diffeq_source()));
-  const ModuleLibrary lib = ModuleLibrary::standard();
-
-  OptimizerOptions greedy_options;
-  greedy_options.area_weight = 1.0;
-  greedy_options.measure.environments = 2;
-  greedy_options.measure.value_hi = 20;
-  const OptimizerResult greedy = optimize(serial, lib, greedy_options);
-
-  StochasticOptions stochastic_options;
-  stochastic_options.base = greedy_options;
-  stochastic_options.restarts = 3;
-  const OptimizerResult stochastic =
-      optimize_stochastic(serial, lib, stochastic_options);
-
-  EXPECT_GT(stochastic.merges_applied, 0u);
-  EXPECT_LT(stochastic.final.area, stochastic.initial.area);
-  // Behaviourally sound.
-  const auto verdict = semantics::differential_equivalence(
-      serial, stochastic.best,
-      {.environments = 2, .value_hi = 20, .sim = {}});
-  EXPECT_TRUE(verdict.holds) << verdict.why;
-  // Within 25% of the greedy objective on this smooth landscape.
-  EXPECT_LT(stochastic.final.area, greedy.final.area * 1.25);
-}
-
 TEST(Optimizer, StepsAreRecorded) {
   const dcf::System serial = compile_source(std::string(gcd_source()));
   const ModuleLibrary lib = ModuleLibrary::standard();

@@ -9,7 +9,6 @@
 #include "synth/designs.h"
 #include "transform/chain.h"
 #include "transform/merge.h"
-#include "transform/pipeline.h"
 #include "transform/split.h"
 #include "util/error.h"
 
@@ -178,52 +177,6 @@ TEST(Split, RejectsStateNotUsingVertex) {
   }
   ASSERT_TRUE(non_user.valid());
   EXPECT_FALSE(can_split(sys, add, {non_user}).legal);
-}
-
-TEST(Pipeline, RunsAndLogsVerifiedPasses) {
-  const dcf::System serial =
-      synth::compile_source(std::string(synth::gcd_source()));
-  semantics::DifferentialOptions diff;
-  diff.environments = 2;
-  diff.value_lo = 1;
-  diff.value_hi = 40;
-
-  Pipeline pipeline(serial);
-  pipeline.verify_each(diff)
-      .merge_all()
-      .share_registers()
-      .chain_states()
-      .parallelize()
-      .cleanup();
-  EXPECT_EQ(pipeline.steps(), 5u);
-  EXPECT_NE(pipeline.log()[0].find("merge_all"), std::string::npos);
-
-  // The end result behaves like the serial design.
-  const auto verdict =
-      semantics::differential_equivalence(serial, pipeline.current(), diff);
-  EXPECT_TRUE(verdict.holds) << verdict.why;
-}
-
-TEST(Pipeline, CustomPassAndFailureDetection) {
-  const dcf::System serial = synth::compile_source(kIndependent);
-  Pipeline pipeline(serial);
-  pipeline.apply("identity", [](const dcf::System& s) { return s; });
-  EXPECT_EQ(pipeline.steps(), 1u);
-
-  // A pass that swaps the behaviour must be caught by verification.
-  Pipeline checked(serial);
-  semantics::DifferentialOptions diff;
-  diff.environments = 2;
-  checked.verify_each(diff);
-  EXPECT_THROW(
-      checked.apply("sabotage",
-                    [](const dcf::System&) {
-                      return synth::compile_source(
-                          "design ind { in a, b; out o; var w, x, y, z; "
-                          "begin w := a; x := b; y := w - 1; z := x * 3; "
-                          "o := y + z; end }");
-                    }),
-      camad::TransformError);
 }
 
 }  // namespace

@@ -46,14 +46,14 @@ constexpr const char* kUsage =
     "  range FIRST COUNT sweep a seed interval (both levels)\n"
     "  soak MINUTES      sweep seeds until the time budget is spent\n"
     "    --start SEED    first seed of the sweep (default 1)\n"
-    "    --metrics[=F]   write run/failure counters + per-seed duration\n"
-    "                    histogram as JSON (default metrics.json)\n"
     "  corpus FILE       replay a seed-corpus file\n"
     "  --out-dir DIR     write failing artifacts to DIR\n"
     "  --mc-crosscheck   add the model-checker cross-check stage\n"
     "  --report[=F]      write a machine-readable run report (args, wall\n"
-    "                    time, exit status, peak RSS, gen.* counters;\n"
-    "                    default report.json)\n";
+    "                    time, exit status, peak RSS, gen.* counters, and\n"
+    "                    for soak the soak.* counters, the per-seed\n"
+    "                    duration histogram and soak.last_seed; default\n"
+    "                    report.json)\n";
 
 struct Args {
   std::string command;
@@ -85,11 +85,11 @@ std::optional<Args> parse_args(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
-      // --metrics/--report are flags when bare; an inline =FILE
-      // overrides the default output path.
+      // --report is a flag when bare; an inline =FILE overrides the
+      // default output path.
       if (const auto eq = arg.find('='); eq != std::string::npos) {
         const std::string key = arg.substr(0, eq);
-        if (key == "--metrics" || key == "--report") {
+        if (key == "--report") {
           args.options.emplace_back(key, arg.substr(eq + 1));
           continue;
         }
@@ -203,12 +203,6 @@ int cmd_soak(const Args& args, obs::MetricsRegistry& metrics) {
                                 minutes));
   gen::OracleOptions options;
   options.mc_crosscheck = args.flag("--mc-crosscheck");
-  std::string metrics_path;
-  if (const auto path = args.option("--metrics")) {
-    metrics_path = *path;
-  } else if (args.flag("--metrics")) {
-    metrics_path = "metrics.json";
-  }
   std::size_t ran = 0;
   std::size_t failed = 0;
   while (std::chrono::steady_clock::now() < deadline) {
@@ -237,13 +231,7 @@ int cmd_soak(const Args& args, obs::MetricsRegistry& metrics) {
   }
   std::cout << "soak: " << ran << " runs up to seed " << seed - 1 << ", "
             << failed << " failure(s)\n";
-  if (!metrics_path.empty()) {
-    metrics.set("soak.last_seed", static_cast<double>(seed - 1));
-    std::ofstream out(metrics_path);
-    if (!out) throw Error("cannot write '" + metrics_path + "'");
-    metrics.write_json(out);
-    std::cout << "metrics written to " << metrics_path << '\n';
-  }
+  metrics.set("soak.last_seed", static_cast<double>(seed - 1));
   return failed == 0 ? 0 : 1;
 }
 
@@ -281,8 +269,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    // One registry for the whole invocation: cmd_soak's --metrics file
-    // and the --report snapshot both read from it.
+    // One registry for the whole invocation; --report embeds it.
     obs::MetricsRegistry metrics;
     std::optional<obs::RunReport> report;
     std::string report_path;

@@ -29,15 +29,14 @@
 // Telemetry (every subcommand): `--trace[=FILE]` records a
 // Chrome-trace-event timeline (chrome://tracing / Perfetto), default
 // trace.json; `--trace-deterministic` switches it to logical clocks for
-// byte-identical reruns; `--metrics[=FILE]` snapshots counters/gauges/
-// histograms as JSON, default metrics.json; `--report[=FILE]` writes a
-// machine-readable run report (args, wall time, exit status, peak RSS
-// and the metrics snapshot), default report.json; `--progress[=SECS]`
-// prints live heartbeat lines to stderr while the engines run, default
-// every 1s. Heartbeats and the report notice go to stderr, so stdout is
-// byte-identical with and without them. On `sim`, bare `--trace` keeps
-// its historical meaning (print the event trace as text), so the
-// timeline there needs the explicit `--trace=FILE` form.
+// byte-identical reruns; `--report[=FILE]` writes a machine-readable
+// run report (args, wall time, exit status, peak RSS and the
+// counters/gauges/histograms snapshot), default report.json;
+// `--progress[=SECS]` prints live heartbeat lines to stderr while the
+// engines run, default every 1s. Heartbeats and the report notice go to
+// stderr, so stdout is byte-identical with and without them. On `sim`,
+// bare `--trace` keeps its historical meaning (print the event trace as
+// text), so the timeline there needs the explicit `--trace=FILE` form.
 //
 // Exit status: 0 on success, 1 on a failed check / simulation violation,
 // 2 on usage or parse errors — a malformed numeric option value included.
@@ -94,9 +93,9 @@ namespace {
 // SIGINT/SIGTERM cancel this budget instead of killing the process: the
 // engine loops (sim cycles, checker BFS levels, optimizer generations)
 // poll it and return well-formed partial results, so the command still
-// prints its summary and Telemetry::finish still flushes the --report /
-// --metrics artifacts. A second signal falls through to the default
-// disposition for a hard kill.
+// prints its summary and Telemetry::finish still flushes the --report
+// artifact. A second signal falls through to the default disposition for
+// a hard kill.
 serve::Budget g_interrupt_budget;
 
 extern "C" void camadc_handle_signal(int sig) {
@@ -186,8 +185,7 @@ constexpr const char* kUsage =
     "dead=0,markings=N\n"
     "  report: --trips T\n"
     "  import: --out FILE.sys --stub none|reg --export-pnml FILE\n"
-    "  telemetry (all commands): --trace[=FILE] --trace-deterministic "
-    "--metrics[=FILE]\n"
+    "  telemetry (all commands): --trace[=FILE] --trace-deterministic\n"
     "             --report[=FILE] --progress[=SECS]\n"
     "  aliases: simulate = sim, optimize = synth\n";
 
@@ -210,11 +208,10 @@ std::optional<Args> parse_args(int argc, char** argv) {
     // Inline form --key=value.
     if (const auto eq = arg.find('='); eq != std::string::npos) {
       const std::string key = arg.substr(0, eq);
-      // --trace/--metrics/--witness/--report/--progress are flags when
-      // bare but accept an inline =VALUE to override the default.
-      const bool inline_only = key == "--trace" || key == "--metrics" ||
-                               key == "--witness" || key == "--report" ||
-                               key == "--progress";
+      // --trace/--witness/--report/--progress are flags when bare but
+      // accept an inline =VALUE to override the default.
+      const bool inline_only = key == "--trace" || key == "--witness" ||
+                               key == "--report" || key == "--progress";
       if (!inline_only &&
           std::find(value_options.begin(), value_options.end(), key) ==
               value_options.end()) {
@@ -251,12 +248,11 @@ void write_file(const std::string& path, const std::string& text) {
 }
 
 /// Per-command telemetry: an optional activated TraceSession, an
-/// optional live ProgressMeter, an optional RunReport and a
-/// MetricsRegistry, configured from --trace[=FILE],
-/// --trace-deterministic, --metrics[=FILE], --report[=FILE] and
-/// --progress[=SECS]. The CLI pattern is activate -> run ->
-/// finish(status) (stop the meter, deactivate, write every requested
-/// artifact, pass the status through).
+/// optional live ProgressMeter, an optional RunReport and the
+/// MetricsRegistry it embeds, configured from --trace[=FILE],
+/// --trace-deterministic, --report[=FILE] and --progress[=SECS]. The CLI
+/// pattern is activate -> run -> finish(status) (stop the meter,
+/// deactivate, write every requested artifact, pass the status through).
 struct Telemetry {
   Telemetry(const Args& args, bool bare_trace_is_chrome) {
     const bool deterministic = args.flag("--trace-deterministic");
@@ -265,11 +261,6 @@ struct Telemetry {
     } else if ((bare_trace_is_chrome && args.flag("--trace")) ||
                deterministic) {
       trace_path = "trace.json";
-    }
-    if (const auto path = args.option("--metrics")) {
-      metrics_path = *path;
-    } else if (args.flag("--metrics")) {
-      metrics_path = "metrics.json";
     }
     if (const auto path = args.option("--report")) {
       report_path = *path;
@@ -297,11 +288,9 @@ struct Telemetry {
     if (trace) trace->deactivate();
   }
 
-  /// True when a metrics consumer exists (a --metrics file or a report
-  /// embedding the snapshot) — commands gate stat publishing on this.
-  [[nodiscard]] bool collect_metrics() const {
-    return !metrics_path.empty() || report.has_value();
-  }
+  /// True when a report was requested: it embeds the metrics snapshot,
+  /// and commands gate stat publishing on this.
+  [[nodiscard]] bool collect_metrics() const { return report.has_value(); }
 
   /// Free-form report annotation; no-op without --report.
   void note(std::string_view key, std::string_view value) {
@@ -323,17 +312,9 @@ struct Telemetry {
       std::cout << "trace written to " << trace_path << " ("
                 << trace->event_count() << " events)\n";
     }
-    if (!metrics_path.empty() || report.has_value()) {
+    if (report) {
       metrics.set("process.peak_rss_bytes",
                   static_cast<double>(obs::peak_rss_bytes()));
-    }
-    if (!metrics_path.empty()) {
-      std::ofstream out(metrics_path);
-      if (!out) throw Error("cannot write '" + metrics_path + "'");
-      metrics.write_json(out);
-      std::cout << "metrics written to " << metrics_path << '\n';
-    }
-    if (report) {
       std::ofstream out(report_path);
       if (!out) throw Error("cannot write '" + report_path + "'");
       report->write(out, exit_status, metrics);
@@ -343,7 +324,6 @@ struct Telemetry {
   }
 
   std::string trace_path;
-  std::string metrics_path;
   std::string report_path;
   std::optional<obs::TraceSession> trace;
   std::optional<obs::ProgressMeter> meter;
@@ -451,8 +431,8 @@ int cmd_transform(const Args& args) {
   // Flag passes run in command-line order (after --passes, if both given).
   for (const std::string& flag : args.flags) {
     if (flag == "--print-pass-stats" || flag == "--trace" ||
-        flag == "--trace-deterministic" || flag == "--metrics" ||
-        flag == "--report" || flag == "--progress") {
+        flag == "--trace-deterministic" || flag == "--report" ||
+        flag == "--progress") {
       continue;
     } else if (flag == "--parallelize") {
       transform::ParallelizeStats stats;
@@ -629,8 +609,8 @@ int cmd_sim(const Args& args) {
   sim::SimOptions options;
   // --trace prints and --vcd writes per-cycle records; a plain run keeps
   // only the event list.
-  options.record_cycles = args.flag("--trace");
-  options.record_registers = args.option("--vcd").has_value();
+  options.record_cycles =
+      args.flag("--trace") || args.option("--vcd").has_value();
   options.max_cycles = args.u64("--max-cycles").value_or(options.max_cycles);
   options.seed = args.u64("--seed").value_or(7);
   options.budget = &g_interrupt_budget;

@@ -1,7 +1,7 @@
 // camadd — the camad synthesis/verification daemon.
 //
 //   camadd [--port N] [--port-file FILE] [--workers N] [--queue N]
-//          [--deadline-ms N] [--report[=FILE]] [--metrics[=FILE]]
+//          [--deadline-ms N] [--report[=FILE]]
 //
 // Serves the length-prefixed JSON-over-TCP protocol of docs/SERVING.md
 // on 127.0.0.1: upload / simulate / verify / optimize / transform /
@@ -15,10 +15,9 @@
 // one self-pipe write (async-signal-safe), the accept loop stops, every
 // in-flight request budget is cancelled so engine loops return
 // well-formed partial results at their next checkpoint, connections are
-// joined — and only then are the --report / --metrics artifacts
-// flushed, so a signalled daemon still leaves its telemetry behind
-// (the satellite fix this binary exists to demonstrate; camadc grew the
-// same handlers).
+// joined — and only then is the --report artifact (run record plus the
+// metrics snapshot) flushed, so a signalled daemon still leaves its
+// telemetry behind (camadc has the same handlers).
 //
 // Exit status: 0 on a clean (signal-driven) shutdown, 2 on usage or
 // bind errors.
@@ -52,8 +51,6 @@ struct Options {
   std::size_t workers = 4;
   std::size_t queue = 64;
   std::uint64_t deadline_ms = 0;
-  bool metrics = false;
-  std::string metrics_path = "metrics.json";
   bool report = false;
   std::string report_path = "report.json";
 };
@@ -61,8 +58,7 @@ struct Options {
 int usage() {
   std::cerr << "usage: camadd [--port N] [--port-file FILE] [--workers N]"
                " [--queue N]\n"
-               "              [--deadline-ms N] [--report[=FILE]]"
-               " [--metrics[=FILE]]\n";
+               "              [--deadline-ms N] [--report[=FILE]]\n";
   return 2;
 }
 
@@ -107,11 +103,6 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (value_of("--deadline-ms", value)) {
       if (!parse_u64(value, number)) return bad_number("--deadline-ms");
       options.deadline_ms = number;
-    } else if (arg == "--metrics") {
-      options.metrics = true;
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      options.metrics = true;
-      options.metrics_path = arg.substr(10);
     } else if (arg == "--report") {
       options.report = true;
     } else if (arg.rfind("--report=", 0) == 0) {
@@ -178,13 +169,6 @@ int main(int argc, char** argv) {
   report.note("status", exit_status == 0 ? "drained" : "failed");
   report.note("shared_tier_hit_rate",
               std::to_string(service.shared_tier_hit_rate()));
-  if (options.metrics) {
-    std::ofstream out(options.metrics_path);
-    if (out) {
-      service.metrics().write_json(out);
-      std::cout << "metrics written to " << options.metrics_path << '\n';
-    }
-  }
   if (options.report) {
     std::ofstream out(options.report_path);
     if (out) {
