@@ -1,6 +1,7 @@
 #include "mc/checker.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
 #include <unordered_map>
@@ -71,6 +72,10 @@ struct WorkerState {
   WitnessCandidate dead;
   std::map<ConflictKey, WitnessCandidate> conflicts;
   std::vector<StateRef> new_refs;
+  // One outbox of successors per store shard, handed to the store when it
+  // fills and at the end of every chunk; `results` receives its outcome.
+  std::vector<InsertBatch> outboxes;
+  std::array<InsertResult, InsertBatch::kCapacity> results;
 };
 
 bool intersects(const std::vector<std::uint64_t>& a,
@@ -159,6 +164,7 @@ struct Search {
       w.succ.resize(codec.words());
       w.marked.resize(codec.marked_words());
       w.fired.assign((t_count + 63) / 64, 0);
+      w.outboxes.assign(store.shard_count(), InsertBatch(codec.words()));
       if (options.compute_concurrency) {
         w.conc.assign((n_places * n_places + 63) / 64, 0);
       }
@@ -197,6 +203,21 @@ struct Search {
     const int c = codec.compare(cp, sp);
     if (c != 0) return c < 0;
     return candidate.via.value() < stored.via.value();
+  }
+
+  /// Inserts a worker's outbox under one acquisition of its shard's lock
+  /// and records the states it added.
+  void flush(WorkerState& ws, InsertBatch& outbox) {
+    store.insert_or_improve(
+        outbox,
+        [this](const StateMeta& s, const StateMeta& c) {
+          return better_parent(s, c);
+        },
+        ws.results.data());
+    for (std::size_t i = 0; i < outbox.size(); ++i) {
+      if (ws.results[i].inserted) ws.new_refs.push_back(ws.results[i].ref);
+    }
+    outbox.clear();
   }
 
   void expand(WorkerState& ws, std::size_t pos, std::uint32_t depth) {
@@ -276,12 +297,10 @@ struct Search {
       meta.via = TransitionId(static_cast<TransitionId::underlying_type>(t));
       meta.depth = depth + 1;
       meta.parent_pos = static_cast<std::uint32_t>(pos);
-      const auto [sref, inserted] = store.insert_or_improve(
-          ws.succ.data(), codec.hash(ws.succ.data()), meta,
-          [this](const StateMeta& s, const StateMeta& c) {
-            return better_parent(s, c);
-          });
-      if (inserted) ws.new_refs.push_back(sref);
+      const std::uint64_t hash = codec.hash(ws.succ.data());
+      InsertBatch& outbox = ws.outboxes[store.shard_of(hash)];
+      outbox.push(ws.succ.data(), hash, meta);
+      if (outbox.full()) flush(ws, outbox);
     }
     if (!any_allowed) {
       if (total == 0) {
@@ -336,13 +355,13 @@ struct Search {
     frontier_words.resize(codec.words());
     codec.encode_initial(net, frontier_words.data());
     {
-      StateMeta meta;
-      meta.depth = 0;
-      const auto [ref, inserted] = store.insert_or_improve(
-          frontier_words.data(), codec.hash(frontier_words.data()), meta,
-          [](const StateMeta&, const StateMeta&) { return false; });
-      (void)inserted;
-      frontier_refs.assign(1, ref);
+      InsertBatch seed(codec.words());
+      seed.push(frontier_words.data(), codec.hash(frontier_words.data()), {});
+      InsertResult initial;
+      store.insert_or_improve(
+          seed, [](const StateMeta&, const StateMeta&) { return false; },
+          &initial);
+      frontier_refs.assign(1, initial.ref);
     }
 
     std::uint32_t depth = 0;
@@ -377,8 +396,12 @@ struct Search {
             const std::size_t begin = job * chunk_size;
             const std::size_t end =
                 std::min(begin + chunk_size, frontier_refs.size());
+            WorkerState& ws = worker_state[worker];
             for (std::size_t pos = begin; pos < end; ++pos) {
-              expand(worker_state[worker], pos, depth);
+              expand(ws, pos, depth);
+            }
+            for (InsertBatch& outbox : ws.outboxes) {
+              if (!outbox.empty()) flush(ws, outbox);
             }
             // Per-chunk so long levels still show movement between
             // heartbeats; publishing never feeds back into the search.

@@ -37,44 +37,6 @@ void VisitedStore::grow(Shard& shard) {
   shard.slots = std::move(slots);
 }
 
-std::pair<StateRef, bool> VisitedStore::insert_or_improve(
-    const std::uint64_t* words, std::uint64_t hash, const StateMeta& meta,
-    const std::function<bool(const StateMeta& stored,
-                             const StateMeta& candidate)>& better) {
-  // shard_shift_ == 64 would be UB in the shift; single-shard stores use
-  // shard 0 directly.
-  const auto shard_index = static_cast<std::uint32_t>(
-      shards_.size() == 1 ? 0 : hash >> shard_shift_);
-  Shard& shard = shards_[shard_index];
-  const std::lock_guard<std::mutex> lock(shard.mu);
-
-  if ((shard.count + 1) * 10 > shard.slots.size() * 7) grow(shard);
-  const std::size_t mask = shard.slots.size() - 1;
-  std::size_t pos = hash & mask;
-  std::size_t probe = 1;
-  while (shard.slots[pos] != 0) {
-    const std::uint32_t entry = shard.slots[pos] - 1;
-    if (shard.hashes[entry] == hash &&
-        codec_->equal(words, shard.arena.data() + std::size_t{entry} * words_)) {
-      // Canonical-parent improvement among same-depth discoverers.
-      StateMeta& stored = shard.meta[entry];
-      if (stored.depth == meta.depth && better(stored, meta)) stored = meta;
-      return {{shard_index, entry}, false};
-    }
-    pos = (pos + 1) & mask;
-    ++probe;
-  }
-  shard.max_probe = std::max(shard.max_probe, probe);
-
-  const auto entry = static_cast<std::uint32_t>(shard.count);
-  shard.slots[pos] = entry + 1;
-  shard.hashes.push_back(hash);
-  shard.arena.insert(shard.arena.end(), words, words + words_);
-  shard.meta.push_back(meta);
-  ++shard.count;
-  return {{shard_index, entry}, true};
-}
-
 std::size_t VisitedStore::size() const {
   std::size_t n = 0;
   for (const Shard& shard : shards_) n += shard.count;

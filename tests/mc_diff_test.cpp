@@ -93,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, McDiffDeterminism,
 // nets this codebase built. The designs/pnml corpus brings in nets we
 // did not construct (hand-transcribed standard model families, including
 // weighted arcs the generator never emits); the same bit-identity and
-// thread-invariance contracts must hold there too.
+// thread- and shard-count invariance contracts must hold there too.
 
 std::vector<std::filesystem::path> corpus_files() {
   std::vector<std::filesystem::path> files;
@@ -152,6 +152,14 @@ TEST(McCorpusDiff, ImportedNetVerdictsStableAcrossThreadCounts) {
       opt.threads = threads;
       ASSERT_TRUE(mc::same_verdicts(one, mc::model_check(net, opt)))
           << label << " diverges at " << threads << " threads";
+    }
+    // One shard: every outbox fills and all workers share one lock. 256
+    // shards: nearly every outbox is handed over at the end of a chunk.
+    opt.threads = 3;
+    for (const std::size_t shards : {1UL, 256UL}) {
+      opt.shards = shards;
+      ASSERT_TRUE(mc::same_verdicts(one, mc::model_check(net, opt)))
+          << label << " diverges at 3 threads, " << shards << " shard(s)";
     }
   }
 }

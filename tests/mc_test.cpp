@@ -5,6 +5,7 @@
 // integration.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string_view>
 #include <vector>
 
@@ -210,6 +211,20 @@ TEST(McCodec, AddRemoveToken) {
 
 // --- store ------------------------------------------------------------------
 
+// Inserts one candidate through the batch entry point.
+template <typename Better>
+std::pair<mc::StateRef, bool> insert_one(mc::VisitedStore& store,
+                                         const mc::StateCodec& codec,
+                                         const std::uint64_t* w,
+                                         const mc::StateMeta& meta,
+                                         Better better) {
+  mc::InsertBatch batch(codec.words());
+  batch.push(w, codec.hash(w), meta);
+  mc::InsertResult result;
+  store.insert_or_improve(batch, better, &result);
+  return {result.ref, result.inserted};
+}
+
 TEST(McStore, InsertDeduplicatesAndImproves) {
   const dcf::System sys = make_doubler();
   const petri::Net& net = sys.control().net();
@@ -225,8 +240,7 @@ TEST(McStore, InsertDeduplicatesAndImproves) {
   mc::StateMeta meta;
   meta.depth = 0;
   meta.via = petri::TransitionId(7);
-  const auto [ref, inserted] =
-      store.insert_or_improve(w.data(), codec.hash(w.data()), meta, never);
+  const auto [ref, inserted] = insert_one(store, codec, w.data(), meta, never);
   EXPECT_TRUE(inserted);
   EXPECT_TRUE(ref.valid());
   EXPECT_EQ(store.size(), 1U);
@@ -236,7 +250,7 @@ TEST(McStore, InsertDeduplicatesAndImproves) {
   mc::StateMeta other = meta;
   other.via = petri::TransitionId(3);
   const auto [ref2, inserted2] =
-      store.insert_or_improve(w.data(), codec.hash(w.data()), other, never);
+      insert_one(store, codec, w.data(), other, never);
   EXPECT_FALSE(inserted2);
   EXPECT_TRUE(ref2 == ref);
   EXPECT_EQ(store.meta(ref).via, petri::TransitionId(7));
@@ -244,7 +258,7 @@ TEST(McStore, InsertDeduplicatesAndImproves) {
   const auto always = [](const mc::StateMeta&, const mc::StateMeta&) {
     return true;
   };
-  store.insert_or_improve(w.data(), codec.hash(w.data()), other, always);
+  insert_one(store, codec, w.data(), other, always);
   EXPECT_EQ(store.meta(ref).via, petri::TransitionId(3));
   EXPECT_TRUE(codec.equal(store.state(ref), w.data()));
 }
@@ -261,13 +275,142 @@ TEST(McStore, GrowsPastInitialCapacity) {
   for (std::uint64_t i = 0; i < 5000; ++i) {
     codec.set_tokens(w.data(), 0, i % 65536);
     codec.set_tokens(w.data(), 1, i / 65536);
-    store.insert_or_improve(w.data(), codec.hash(w.data()), {}, never);
+    insert_one(store, codec, w.data(), {}, never);
   }
   EXPECT_EQ(store.size(), 5000U);
   std::size_t seen = 0;
   store.for_each([&](mc::StateRef, const std::uint64_t*,
                      const mc::StateMeta&) { ++seen; });
   EXPECT_EQ(seen, 5000U);
+}
+
+// One batch against the same candidates inserted one at a time: a
+// duplicate of an earlier candidate of the batch, a same-depth
+// improvement inside the batch and another across two batches, a
+// different-depth duplicate that must not improve, and new states that
+// cross the grow threshold mid-batch.
+TEST(McStore, BatchInsertEqualsOneAtATime) {
+  const dcf::System sys = make_gcd();
+  const petri::Net& net = sys.control().net();
+  const mc::StateCodec codec(net, 100000, 0);
+  // Canonical order of this test: least discovering transition.
+  const auto better = [](const mc::StateMeta& stored,
+                         const mc::StateMeta& candidate) {
+    return candidate.via.value() < stored.via.value();
+  };
+  struct Candidate {
+    std::uint64_t state;
+    std::uint32_t depth;
+    std::uint32_t via;
+  };
+  const auto words_of = [&](std::uint64_t state) {
+    std::vector<std::uint64_t> w(codec.words(), 0);
+    codec.set_tokens(w.data(), 0, state);
+    return w;
+  };
+  const auto meta_of = [](const Candidate& c) {
+    mc::StateMeta meta;
+    meta.depth = c.depth;
+    meta.via = petri::TransitionId(c.via);
+    return meta;
+  };
+
+  // A one-shard store's 1,024-slot table grows when its 717th entry
+  // goes in. The first batches fill it to 700 entries at depth 1.
+  std::vector<std::vector<Candidate>> batches;
+  for (std::uint64_t first = 0; first < 700;
+       first += mc::InsertBatch::kCapacity) {
+    batches.emplace_back();
+    for (std::uint64_t s = first;
+         s < std::min<std::uint64_t>(700, first + mc::InsertBatch::kCapacity);
+         ++s) {
+      batches.back().push_back({s, 1, static_cast<std::uint32_t>(s % 7 + 1)});
+    }
+  }
+  std::vector<Candidate> crossing = {
+      {700, 2, 9},  // new
+      {700, 2, 9},  // duplicate of the batch's first candidate: kept as is
+      {700, 2, 4},  // same-depth improvement inside the batch
+      {5, 2, 0},    // different-depth duplicate: must not improve
+  };
+  // New states 701, 702, ... fill the batch.
+  std::uint64_t next = 701;
+  while (crossing.size() < mc::InsertBatch::kCapacity) {
+    crossing.push_back({next++, 2, 3});
+  }
+  const std::size_t crossing_batch = batches.size();
+  batches.push_back(crossing);
+  batches.push_back({{700, 2, 2},    // improvement across two batches
+                     {701, 2, 5}});  // same depth, not better
+
+  using Entries =
+      std::vector<std::pair<std::vector<std::uint64_t>, mc::StateMeta>>;
+  const auto entries_of = [&](const mc::VisitedStore& store) {
+    Entries entries;
+    store.for_each([&](mc::StateRef, const std::uint64_t* w,
+                       const mc::StateMeta& meta) {
+      entries.emplace_back(std::vector<std::uint64_t>(w, w + codec.words()),
+                           meta);
+    });
+    return entries;
+  };
+
+  mc::VisitedStore batched(codec, 1);
+  mc::VisitedStore serial(codec, 1);
+  std::array<mc::InsertResult, mc::InsertBatch::kCapacity> results;
+  mc::InsertBatch batch(codec.words());
+  Entries entries;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    batch.clear();
+    for (const Candidate& c : batches[b]) {
+      const std::vector<std::uint64_t> w = words_of(c.state);
+      batch.push(w.data(), codec.hash(w.data()), meta_of(c));
+    }
+    const std::size_t before = batched.size();
+    batched.insert_or_improve(batch, better, results.data());
+    if (b == crossing_batch) {
+      EXPECT_LT(before, 717U);
+      EXPECT_GT(batched.size(), 717U);
+    }
+    for (std::size_t i = 0; i < batches[b].size(); ++i) {
+      const Candidate& c = batches[b][i];
+      const auto [ref, inserted] =
+          insert_one(serial, codec, words_of(c.state).data(), meta_of(c),
+                     better);
+      EXPECT_TRUE(results[i].ref == ref) << "batch " << b << " candidate " << i;
+      EXPECT_EQ(results[i].inserted, inserted)
+          << "batch " << b << " candidate " << i;
+    }
+    // Same entries, in the same order, with the same metadata.
+    entries = entries_of(batched);
+    const Entries expected = entries_of(serial);
+    ASSERT_EQ(entries.size(), expected.size()) << "batch " << b;
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      EXPECT_TRUE(codec.equal(entries[e].first.data(),
+                              expected[e].first.data()))
+          << "batch " << b << " entry " << e;
+      EXPECT_EQ(entries[e].second.depth, expected[e].second.depth)
+          << "batch " << b << " entry " << e;
+      EXPECT_EQ(entries[e].second.via, expected[e].second.via)
+          << "batch " << b << " entry " << e;
+    }
+  }
+  EXPECT_EQ(batched.size(), next);
+
+  // The outcomes themselves: 700 keeps its least same-depth discoverer,
+  // 5 its depth-1 metadata and 701 its first discoverer.
+  const auto stored_meta = [&](std::uint64_t state) {
+    const std::vector<std::uint64_t> w = words_of(state);
+    for (const auto& [words, meta] : entries) {
+      if (codec.equal(words.data(), w.data())) return meta;
+    }
+    ADD_FAILURE() << "state " << state << " not stored";
+    return mc::StateMeta{};
+  };
+  EXPECT_EQ(stored_meta(700).via, petri::TransitionId(2));
+  EXPECT_EQ(stored_meta(5).via, petri::TransitionId(6));
+  EXPECT_EQ(stored_meta(5).depth, 1U);
+  EXPECT_EQ(stored_meta(701).via, petri::TransitionId(3));
 }
 
 // --- differential against petri::explore ------------------------------------

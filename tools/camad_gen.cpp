@@ -18,8 +18,10 @@
 // register corpus lines; with --out-dir each failure's shrunk artifact is
 // written to <dir>/<level>_<seed>.txt for artifact upload.
 //
-// Exit status: 0 all oracles green, 1 at least one failure, 2 usage.
+// Exit status: 0 all oracles green, 1 at least one failure, 2 usage (an
+// unknown flag or option included).
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -80,31 +82,37 @@ std::optional<Args> parse_args(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   Args args;
   args.command = argv[1];
+  // Options that take a value, and flags that take none. Any other key,
+  // bare or inline, is a usage error.
   const std::vector<std::string> value_options = {"--level", "--start",
                                                   "--out-dir"};
+  const std::vector<std::string> flags = {"--print", "--no-shrink",
+                                          "--mc-crosscheck", "--report"};
+  const auto known = [](const std::vector<std::string>& keys,
+                        const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      // --report is a flag when bare; an inline =FILE overrides the
-      // default output path.
-      if (const auto eq = arg.find('='); eq != std::string::npos) {
-        const std::string key = arg.substr(0, eq);
-        if (key == "--report") {
-          args.options.emplace_back(key, arg.substr(eq + 1));
-          continue;
-        }
-      }
-      const bool takes_value =
-          std::find(value_options.begin(), value_options.end(), arg) !=
-          value_options.end();
-      if (takes_value) {
-        if (i + 1 >= argc) return std::nullopt;
-        args.options.emplace_back(arg, argv[++i]);
-      } else {
-        args.flags.push_back(arg);
-      }
-    } else {
+    if (arg.rfind("--", 0) != 0) {
       args.positional.push_back(arg);
+      continue;
+    }
+    // Inline form --key=value. --report is a flag when bare; an inline
+    // =FILE overrides the default output path.
+    if (const auto eq = arg.find('='); eq != std::string::npos) {
+      const std::string key = arg.substr(0, eq);
+      if (!known(value_options, key) && key != "--report") {
+        return std::nullopt;
+      }
+      args.options.emplace_back(key, arg.substr(eq + 1));
+    } else if (known(value_options, arg)) {
+      if (i + 1 >= argc) return std::nullopt;
+      args.options.emplace_back(arg, argv[++i]);
+    } else if (known(flags, arg)) {
+      args.flags.push_back(arg);
+    } else {
+      return std::nullopt;
     }
   }
   return args;

@@ -39,8 +39,10 @@
 // text), so the timeline there needs the explicit `--trace=FILE` form.
 //
 // Exit status: 0 on success, 1 on a failed check / simulation violation,
-// 2 on usage or parse errors — a malformed numeric option value included.
+// 2 on usage or parse errors — an unknown flag or option and a malformed
+// numeric option value included.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -194,7 +196,8 @@ std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
   args.command = argv[1];
   args.file = argv[2];
-  // Options that take a value; everything else with -- is a flag.
+  // Options that take a value, and flags that take none. Any other key,
+  // bare or inline, is a usage error.
   const std::vector<std::string> value_options = {
       "--lambda",  "--max-steps",  "--netlist",     "--dot",   "--in",
       "--vcd",     "--max-cycles", "--seed",        "--trips", "--out",
@@ -202,32 +205,36 @@ std::optional<Args> parse_args(int argc, char** argv) {
       "--engine",  "--expect",     "--stub",
       "--export-pnml", "--strategy", "--beam",      "--generations",
       "--frontier-out"};
+  // --trace/--witness/--report/--progress are flags when bare but accept
+  // an inline =VALUE to override the default.
+  const std::vector<std::string> inline_flags = {"--trace", "--witness",
+                                                 "--report", "--progress"};
+  const std::vector<std::string> flags = {
+      "--reachable",   "--strict-rule5",        "--no-fold",
+      "--parallelize", "--merge-all",           "--regshare",
+      "--chain",       "--cleanup",             "--print-pass-stats",
+      "--no-verify",   "--no-guards",           "--trace-deterministic"};
+  const auto known = [](const std::vector<std::string>& keys,
+                        const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (!starts_with(arg, "--")) return std::nullopt;
     // Inline form --key=value.
     if (const auto eq = arg.find('='); eq != std::string::npos) {
       const std::string key = arg.substr(0, eq);
-      // --trace/--witness/--report/--progress are flags when bare but
-      // accept an inline =VALUE to override the default.
-      const bool inline_only = key == "--trace" || key == "--witness" ||
-                               key == "--report" || key == "--progress";
-      if (!inline_only &&
-          std::find(value_options.begin(), value_options.end(), key) ==
-              value_options.end()) {
+      if (!known(value_options, key) && !known(inline_flags, key)) {
         return std::nullopt;
       }
       args.options.emplace_back(key, arg.substr(eq + 1));
-      continue;
-    }
-    const bool takes_value =
-        std::find(value_options.begin(), value_options.end(), arg) !=
-        value_options.end();
-    if (takes_value) {
+    } else if (known(value_options, arg)) {
       if (i + 1 >= argc) return std::nullopt;
       args.options.emplace_back(arg, argv[++i]);
-    } else {
+    } else if (known(flags, arg) || known(inline_flags, arg)) {
       args.flags.push_back(arg);
+    } else {
+      return std::nullopt;
     }
   }
   return args;
