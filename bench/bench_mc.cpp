@@ -9,11 +9,17 @@
 // states/second and speedup-vs-1-thread for each thread count, the
 // record docs/PERF.md and the CI bench artifact consume. Without
 // --json the same sweep runs under google-benchmark.
+//
+// Timing rule for --json: each (net, threads) cell is the median of
+// repeated runs, at least kMinRuns of them and as many more as it takes
+// for the runs to cover kMinCellSeconds of wall time, so a net explored
+// in 2.5 ms is timed over ~200 runs instead of three.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <vector>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -25,7 +31,6 @@
 #include "mc/checker.h"
 #include "petri/export.h"
 #include "petri/pnml.h"
-#include "petri/reachability.h"
 #include "util/error.h"
 #include "workloads.h"
 
@@ -89,6 +94,9 @@ mc::McOptions options_for(std::size_t threads) {
   return opt;
 }
 
+constexpr int kMinRuns = 3;
+constexpr double kMinCellSeconds = 0.5;
+
 double run_once(const petri::Net& net, std::size_t threads,
                 const mc::McResult& reference) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -102,6 +110,22 @@ double run_once(const petri::Net& net, std::size_t threads,
                 " threads");
   }
   return seconds;
+}
+
+/// Median seconds per run of one (net, threads) cell under the timing
+/// rule in the file header.
+double cell_seconds(const petri::Net& net, std::size_t threads,
+                    const mc::McResult& reference) {
+  std::vector<double> runs;
+  double total = 0.0;
+  while (runs.size() < static_cast<std::size_t>(kMinRuns) ||
+         total < kMinCellSeconds) {
+    runs.push_back(run_once(net, threads, reference));
+    total += runs.back();
+  }
+  std::sort(runs.begin(), runs.end());
+  const std::size_t mid = runs.size() / 2;
+  return runs.size() % 2 == 1 ? runs[mid] : (runs[mid - 1] + runs[mid]) / 2;
 }
 
 void sweep_json(bench::BenchJson& json, const std::string& name,
@@ -120,20 +144,16 @@ void sweep_json(bench::BenchJson& json, const std::string& name,
       .field("bytes_per_state", bench::rounded(bytes_per_state, 1));
   double base = 0.0;
   for (const std::size_t threads : {1UL, 2UL, 4UL, 8UL}) {
-    // Best of three: the scaling curve, not scheduler noise.
-    double best = run_once(net, threads, reference);
-    for (int rep = 0; rep < 2; ++rep) {
-      best = std::min(best, run_once(net, threads, reference));
-    }
-    if (threads == 1) base = best;
-    const double rate = static_cast<double>(reference.state_count) / best;
+    const double median = cell_seconds(net, threads, reference);
+    if (threads == 1) base = median;
+    const double rate = static_cast<double>(reference.state_count) / median;
     const std::string suffix = "_t" + std::to_string(threads);
     json.field("states_per_second" + suffix,
                static_cast<std::uint64_t>(rate))
-        .field("speedup" + suffix, bench::rounded(base / best, 2));
+        .field("speedup" + suffix, bench::rounded(base / median, 2));
     std::cout << "BENCH_mc " << name << " t=" << threads << ": "
               << static_cast<std::uint64_t>(rate) << " states/s, "
-              << bench::rounded(base / best, 2) << "x\n";
+              << bench::rounded(base / median, 2) << "x\n";
   }
   json.end_design();
 }

@@ -67,7 +67,7 @@ int main() {
   petri::Marking m = petri::Marking::initial(net);
   std::cout << "maximal-step token game, 5 steps:\n";
   for (int step = 0; step < 5; ++step) {
-    const auto fired = petri::fire_maximal_step(net, m);
+    const auto fired = petri::fire_step_in_order(net, m, net.transitions());
     std::cout << "  step " << step << ": fired {";
     for (std::size_t i = 0; i < fired.size(); ++i) {
       if (i != 0) std::cout << ", ";

@@ -1,7 +1,6 @@
 #include "dcf/check.h"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 #include "dcf/guardinfo.h"
@@ -27,50 +26,32 @@ std::string arc_label(const DataPath& dp, ArcId a) {
 }
 
 /// The ∥ relation rules 1 and 4 quantify over: structural (Def 2.3) by
-/// default, reachability-refined when requested.
+/// default, reachability-refined when requested. Def 3.2 rule 1
+/// quantifies over *pairs* of parallel states, and two states' association
+/// sets are jointly active in some reachable marking iff the states are
+/// co-marked there, so the pairwise check over the reachable relation
+/// equals a disjointness check per whole reachable marking
+/// (tests/mc_test.cpp Rule1PairwiseEqualsWholeMarking).
 class ParallelRelation {
  public:
-  /// `cache` (nullable) supplies memoized relations; it is consulted only
-  /// when bound to the checked system with matching reachability options
-  /// (the caller guarantees both — see usable_cache below). A
-  /// reachability-refined relation that cannot be completed within the
+  /// A reachability-refined relation that cannot be completed within the
   /// exploration budget is an under-approximation (unsound for rules 1
-  /// and 4), so those paths degrade to the structural relation and leave
+  /// and 4), so that path degrades to the structural relation and leaves
   /// a warning in `report` instead of throwing.
-  ParallelRelation(const petri::Net& net, const CheckOptions& options,
-                   const semantics::AnalysisCache* cache,
-                   const mc::McResult* exact, CheckReport& report)
-      : n_(net.place_count()) {
-    if (exact != nullptr && !exact->concurrency.empty()) {
-      conc_ = &exact->concurrency;
-      return;
-    }
+  ParallelRelation(const CheckOptions& options,
+                   const semantics::AnalysisCache& cache, CheckReport& report)
+      : n_(cache.system().control().net().place_count()) {
     if (options.use_reachable_concurrency) {
-      if (cache != nullptr) {
-        if (cache->reachability().complete) {
-          conc_ = &cache->concurrency();
-          return;
-        }
-      } else {
-        petri::ConcurrencyRelation rel =
-            petri::concurrent_places_bounded(net, options.reachability);
-        if (rel.exploration.complete) {
-          own_conc_ = std::move(rel.concurrent);
-          conc_ = &own_conc_;
-          return;
-        }
+      if (cache.reachability().complete) {
+        conc_ = &cache.concurrency();
+        return;
       }
       report.warnings.push_back(
           {Rule::kParallelDisjoint,
            "reachable-concurrency refinement exceeded the exploration "
            "budget; using the structural parallel relation instead"});
     }
-    if (cache != nullptr) {
-      order_ = &cache->order();
-    } else {
-      own_order_ = std::make_unique<petri::OrderRelations>(net);
-      order_ = own_order_.get();
-    }
+    order_ = &cache.order();
   }
 
   [[nodiscard]] bool operator()(PlaceId a, PlaceId b) const {
@@ -80,8 +61,6 @@ class ParallelRelation {
 
  private:
   std::size_t n_;
-  std::vector<bool> own_conc_;
-  std::unique_ptr<petri::OrderRelations> own_order_;
   const std::vector<bool>* conc_ = nullptr;
   const petri::OrderRelations* order_ = nullptr;
 };
@@ -125,8 +104,8 @@ void check_parallel_disjoint(const System& system,
   }
 }
 
-void check_safety(const System& system, const CheckOptions& options,
-                  const semantics::AnalysisCache* cache,
+void check_safety(const System& system,
+                  const semantics::AnalysisCache& cache,
                   CheckReport& report) {
   const auto& net = system.control().net();
   // Initial marking itself must be safe.
@@ -139,16 +118,14 @@ void check_safety(const System& system, const CheckOptions& options,
       return;
     }
   }
-  if (options.try_invariant_certificate) {
-    try {
-      if (petri::covered_by_safe_invariants(net)) return;  // certified safe
-    } catch (const Error&) {
-      // Farkas row explosion: fall through to reachability.
-    }
+  // The polynomial P-invariant certificate first, explicit reachability
+  // only when it cannot cover the net.
+  try {
+    if (petri::covered_by_safe_invariants(net)) return;  // certified safe
+  } catch (const Error&) {
+    // Farkas row explosion: fall through to reachability.
   }
-  const petri::ReachabilityResult result =
-      cache != nullptr ? cache->reachability()
-                       : petri::explore(net, options.reachability);
+  const mc::McResult& result = cache.reachability();
   if (!result.safe) {
     std::string marked;
     for (PlaceId p : result.unsafe_witness->marked_places()) {
@@ -161,66 +138,6 @@ void check_safety(const System& system, const CheckOptions& options,
     report.violations.push_back(
         {Rule::kSafety,
          "state space exceeded exploration budget; safety not established"});
-  }
-}
-
-/// Rule 2 against a *complete* guard-aware state space: the witness, if
-/// any, is a marking actually reachable under guard semantics (the
-/// unguarded explorer may report spurious witnesses pruned by guards).
-void check_safety_exact(const System& system, const mc::McResult& exact,
-                        CheckReport& report) {
-  const auto& net = system.control().net();
-  for (PlaceId p : net.places()) {
-    if (net.initial_tokens(p) > 1) {
-      report.violations.push_back(
-          {Rule::kSafety, "initial marking puts " +
-                              std::to_string(net.initial_tokens(p)) +
-                              " tokens on " + net.name(p)});
-      return;
-    }
-  }
-  if (!exact.safe && exact.unsafe_witness.has_value()) {
-    std::string marked;
-    for (PlaceId p : exact.unsafe_witness->marked_places()) {
-      marked += " " + net.name(p) + "(" +
-                std::to_string(exact.unsafe_witness->tokens(p)) + ")";
-    }
-    report.violations.push_back(
-        {Rule::kSafety,
-         "net is unsafe under guard-aware exploration; witness marking:" +
-             marked});
-  }
-}
-
-/// Rule 3 per reachable marking: only competitor pairs that are jointly
-/// token-enabled *and* guard-allowed in some reachable state are
-/// reported. Statically unprovable pairs that never co-compete reachably
-/// are silently fine — the refinement over check_conflict_free below.
-void check_conflict_free_exact(const System& system,
-                               const mc::McResult& exact,
-                               CheckReport& report) {
-  const auto& net = system.control().net();
-  for (const mc::McConflict& c : exact.conflicts) {
-    const std::string msg =
-        "place " + net.name(c.place) + " has competing transitions " +
-        net.name(c.a) + ", " + net.name(c.b) +
-        " jointly enabled in a reachable marking";
-    if (c.unguarded) {
-      report.violations.push_back(
-          {Rule::kConflictFree, msg + " and at least one is unguarded"});
-    } else {
-      report.warnings.push_back(
-          {Rule::kConflictFree,
-           msg + "; guards not statically provable exclusive — verify "
-                 "dynamically"});
-    }
-  }
-  if (exact.conflicts_truncated > 0) {
-    report.warnings.push_back(
-        {Rule::kConflictFree,
-         std::to_string(exact.conflicts_truncated) +
-             " further reachable conflict triple(s) beyond the reporting "
-             "cap"});
   }
 }
 
@@ -407,50 +324,13 @@ namespace {
 
 CheckReport check_properly_designed_impl(
     const System& system, const CheckOptions& options,
-    const semantics::AnalysisCache* cache) {
+    const semantics::AnalysisCache& cache) {
   system.validate();
   CheckReport report;
-  const mc::McResult* exact = nullptr;
-  mc::McResult own_exact;
-  if (options.exact) {
-    if (cache != nullptr) {
-      exact = &cache->model_check();
-    } else {
-      mc::McOptions opt;
-      opt.max_states = options.reachability.max_markings;
-      opt.token_bound = options.reachability.token_bound;
-      own_exact = mc::model_check(system, opt);
-      exact = &own_exact;
-    }
-    if (!exact->complete) {
-      // A partial co-marking relation is an *under*-approximation —
-      // feeding it to rules 1/4 could miss real overlaps. Fall back to
-      // the sound structural / static procedures and say so.
-      report.warnings.push_back(
-          {Rule::kParallelDisjoint,
-           "exact model check stopped early (" + exact->cutoff_reason +
-               ", " + std::to_string(exact->state_count) +
-               " states); falling back to structural/static procedures"});
-      exact = nullptr;
-    }
-  }
-  // Rule 1 with the exact relation needs no per-marking machinery: Def
-  // 3.2 rule 1 quantifies over *pairs* of parallel states, and two
-  // states' association sets are jointly active in some reachable
-  // marking iff the states are co-marked there — which is exactly what
-  // exact->concurrency records. Pairwise over the exact relation is
-  // therefore equivalent to checking disjointness per whole reachable
-  // marking (tests/mc_test.cpp Rule1PairwiseEqualsWholeMarking).
-  const ParallelRelation parallel(system.control().net(), options, cache,
-                                  exact, report);
+  const ParallelRelation parallel(options, cache, report);
   check_parallel_disjoint(system, parallel, report);
-  if (exact != nullptr) {
-    check_safety_exact(system, *exact, report);
-    check_conflict_free_exact(system, *exact, report);
-  } else {
-    check_safety(system, options, cache, report);
-    check_conflict_free(system, report);
-  }
+  check_safety(system, cache, report);
+  check_conflict_free(system, report);
   check_no_comb_loop(system, parallel, report);
   check_sequential_result(system, options, report);
   return report;
@@ -460,7 +340,8 @@ CheckReport check_properly_designed_impl(
 
 CheckReport check_properly_designed(const System& system,
                                     const CheckOptions& options) {
-  return check_properly_designed_impl(system, options, nullptr);
+  const semantics::AnalysisCache cache(system, options.reachability);
+  return check_properly_designed_impl(system, options, cache);
 }
 
 CheckReport check_properly_designed(const System& system,
@@ -472,10 +353,11 @@ CheckReport check_properly_designed(const System& system,
         "system");
   }
   // A cache built with a different exploration budget would answer rules
-  // 2 and 4 against markings the caller did not ask about; recompute.
-  const bool usable = cache.reachability_options() == options.reachability;
-  return check_properly_designed_impl(system, options,
-                                      usable ? &cache : nullptr);
+  // 1, 2 and 4 against markings the caller did not ask about; recompute.
+  if (cache.reachability_options() != options.reachability) {
+    return check_properly_designed(system, options);
+  }
+  return check_properly_designed_impl(system, options, cache);
 }
 
 void require_properly_designed(const System& system,

@@ -13,12 +13,22 @@
 // synthesis flow relies on:
 //   * (1) uses the structural parallel relation ∥ of Def 2.3 by default
 //     (conservative: exclusive if/else branches count as parallel), or the
-//     reachability-based concurrency relation when
-//     `use_reachable_concurrency` is set — an ablation measured in E5;
+//     reachable co-marking relation when `use_reachable_concurrency` is
+//     set — an ablation measured in E5;
+//   * (2) accepts a P-invariant safety certificate and otherwise explores
+//     the unguarded control net;
 //   * (3) statically recognizes the complement pattern the compiler emits
 //     (two condition registers latched from a predicate port and its
 //     negation in the same state); other guard pairs are reported as
 //     *warnings* and left to the simulator's runtime conflict monitor.
+//
+// Every state-space question goes through semantics::AnalysisCache, that
+// is, through one unguarded mc::model_check run of the control net. A run
+// the budget (`reachability.max_markings`) cuts short never weakens a
+// verdict: rule 1 falls back to the structural relation with a warning and
+// rule 2 reports that safety was not established. The guard-aware
+// verdicts (safety under guards, reachable rule-3 conflicts) are
+// `camadc verify`'s, from semantics::AnalysisCache::model_check().
 #pragma once
 
 #include <string>
@@ -51,19 +61,6 @@ struct Violation {
 struct CheckOptions {
   /// Refine ∥ with reachability instead of the paper's structural relation.
   bool use_reachable_concurrency = false;
-  /// Evaluate rules 1-3 against the guard-aware reachable state space
-  /// (mc::model_check) instead of the structural / static procedures:
-  /// rule 1 quantifies over the exact co-marking relation, rule 2 uses
-  /// the guard-refined safety verdict (with a counterexample trace), and
-  /// rule 3 reports only conflicts that are reachably co-enabled. If the
-  /// model check exhausts its budget (reachability.max_markings states)
-  /// the checker falls back to the procedures above and records a
-  /// warning — it never silently weakens a verdict with a partial
-  /// relation. Supersedes use_reachable_concurrency.
-  bool exact = false;
-  /// Safety: try the polynomial P-invariant certificate before falling
-  /// back to explicit reachability.
-  bool try_invariant_certificate = true;
   /// Rule 5 exemption for *control-only* states (C(S) = ∅). Fork/join
   /// realizations of general dependence DAGs need pure synchronization
   /// places that latch nothing; the paper's rule predates them. Set to
@@ -83,11 +80,12 @@ struct CheckReport {
 };
 
 /// Runs all five checks; never throws on rule violations (only on
-/// malformed models). The cached overload reuses reachability /
-/// concurrency / order results from `cache` (which must be bound to
-/// `system`) for rules 1, 2 and 4 — but only when the cache was built
-/// with the same ReachabilityOptions as `options.reachability`; on a
-/// mismatch it recomputes rather than report against a different budget.
+/// malformed models). The first overload builds a local AnalysisCache.
+/// The cached overload reuses reachability / concurrency / order results
+/// from `cache` (which must be bound to `system`) for rules 1, 2 and 4 —
+/// but only when the cache was built with the same ReachabilityOptions as
+/// `options.reachability`; on a mismatch it recomputes with a local cache
+/// rather than report against a different budget.
 CheckReport check_properly_designed(const System& system,
                                     const CheckOptions& options = {});
 CheckReport check_properly_designed(const System& system,

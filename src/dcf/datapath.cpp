@@ -136,15 +136,6 @@ PortId DataPath::the_output_port(VertexId input_vertex) const {
   return vertex.outputs.front();
 }
 
-PortId DataPath::the_input_port(VertexId output_vertex) const {
-  const Vertex& vertex = vertices_[output_vertex.index()];
-  if (vertex.kind != VertexKind::kOutput || vertex.inputs.size() != 1) {
-    throw ModelError("the_input_port: " + vertex.name +
-                     " is not an output vertex");
-  }
-  return vertex.inputs.front();
-}
-
 std::vector<VertexId> DataPath::vertices() const {
   std::vector<VertexId> out;
   out.reserve(vertices_.size());

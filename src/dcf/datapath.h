@@ -115,9 +115,8 @@ class DataPath {
   [[nodiscard]] bool is_external_arc(ArcId a) const;
   [[nodiscard]] std::vector<ArcId> external_arcs() const;
 
-  /// Single output port of a kInput vertex / input port of a kOutput one.
+  /// Single output port of a kInput vertex.
   [[nodiscard]] PortId the_output_port(VertexId input_vertex) const;
-  [[nodiscard]] PortId the_input_port(VertexId output_vertex) const;
 
   [[nodiscard]] std::vector<VertexId> vertices() const;
   [[nodiscard]] std::vector<ArcId> arcs() const;

@@ -36,12 +36,6 @@ void emit_datapath(const DataPath& dp, DotWriter& dot) {
 
 }  // namespace
 
-std::string datapath_to_dot(const DataPath& dp) {
-  DotWriter dot("datapath");
-  emit_datapath(dp, dot);
-  return dot.finish();
-}
-
 std::string system_to_dot(const System& system) {
   DotWriter dot(system.name());
   dot.begin_cluster("datapath", "data path");

@@ -8,9 +8,6 @@
 
 namespace camad::dcf {
 
-/// DOT rendering of the data path alone.
-std::string datapath_to_dot(const DataPath& dp);
-
 /// DOT rendering of the whole Γ, control mapping included.
 std::string system_to_dot(const System& system);
 

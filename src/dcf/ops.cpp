@@ -13,33 +13,32 @@ struct OpInfo {
   std::string_view name;
   int arity;
   bool sequential;
-  bool predicate;
 };
 
 constexpr std::array kOps = {
-    OpInfo{OpCode::kAdd, "add", 2, false, false},
-    OpInfo{OpCode::kSub, "sub", 2, false, false},
-    OpInfo{OpCode::kMul, "mul", 2, false, false},
-    OpInfo{OpCode::kDiv, "div", 2, false, false},
-    OpInfo{OpCode::kMod, "mod", 2, false, false},
-    OpInfo{OpCode::kNeg, "neg", 1, false, false},
-    OpInfo{OpCode::kAnd, "and", 2, false, false},
-    OpInfo{OpCode::kOr, "or", 2, false, false},
-    OpInfo{OpCode::kXor, "xor", 2, false, false},
-    OpInfo{OpCode::kNot, "not", 1, false, true},
-    OpInfo{OpCode::kShl, "shl", 2, false, false},
-    OpInfo{OpCode::kShr, "shr", 2, false, false},
-    OpInfo{OpCode::kEq, "eq", 2, false, true},
-    OpInfo{OpCode::kNe, "ne", 2, false, true},
-    OpInfo{OpCode::kLt, "lt", 2, false, true},
-    OpInfo{OpCode::kLe, "le", 2, false, true},
-    OpInfo{OpCode::kGt, "gt", 2, false, true},
-    OpInfo{OpCode::kGe, "ge", 2, false, true},
-    OpInfo{OpCode::kMux, "mux", 3, false, false},
-    OpInfo{OpCode::kPass, "pass", 1, false, false},
-    OpInfo{OpCode::kConst, "const", 0, false, false},
-    OpInfo{OpCode::kReg, "reg", 1, true, false},
-    OpInfo{OpCode::kInput, "input", 0, true, false},
+    OpInfo{OpCode::kAdd, "add", 2, false},
+    OpInfo{OpCode::kSub, "sub", 2, false},
+    OpInfo{OpCode::kMul, "mul", 2, false},
+    OpInfo{OpCode::kDiv, "div", 2, false},
+    OpInfo{OpCode::kMod, "mod", 2, false},
+    OpInfo{OpCode::kNeg, "neg", 1, false},
+    OpInfo{OpCode::kAnd, "and", 2, false},
+    OpInfo{OpCode::kOr, "or", 2, false},
+    OpInfo{OpCode::kXor, "xor", 2, false},
+    OpInfo{OpCode::kNot, "not", 1, false},
+    OpInfo{OpCode::kShl, "shl", 2, false},
+    OpInfo{OpCode::kShr, "shr", 2, false},
+    OpInfo{OpCode::kEq, "eq", 2, false},
+    OpInfo{OpCode::kNe, "ne", 2, false},
+    OpInfo{OpCode::kLt, "lt", 2, false},
+    OpInfo{OpCode::kLe, "le", 2, false},
+    OpInfo{OpCode::kGt, "gt", 2, false},
+    OpInfo{OpCode::kGe, "ge", 2, false},
+    OpInfo{OpCode::kMux, "mux", 3, false},
+    OpInfo{OpCode::kPass, "pass", 1, false},
+    OpInfo{OpCode::kConst, "const", 0, false},
+    OpInfo{OpCode::kReg, "reg", 1, true},
+    OpInfo{OpCode::kInput, "input", 0, true},
 };
 
 const OpInfo& info(OpCode code) {
@@ -53,7 +52,6 @@ const OpInfo& info(OpCode code) {
 
 int op_arity(OpCode code) { return info(code).arity; }
 bool op_is_sequential(OpCode code) { return info(code).sequential; }
-bool op_is_predicate(OpCode code) { return info(code).predicate; }
 std::string_view op_name(OpCode code) { return info(code).name; }
 
 OpCode op_from_name(std::string_view name) {

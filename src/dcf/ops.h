@@ -59,9 +59,6 @@ int op_arity(OpCode code);
 /// output does not combinationally depend on present inputs.
 bool op_is_sequential(OpCode code);
 
-/// True for comparison ops whose result is 0/1 (usable as guards).
-bool op_is_predicate(OpCode code);
-
 std::string_view op_name(OpCode code);
 /// Inverse of op_name; throws ModelError on unknown names.
 OpCode op_from_name(std::string_view name);

@@ -33,24 +33,6 @@ std::optional<std::vector<NodeId>> topological_sort(const Digraph& g) {
 
 bool has_cycle(const Digraph& g) { return !topological_sort(g).has_value(); }
 
-DynamicBitset reachable_from(const Digraph& g, NodeId start) {
-  DynamicBitset seen(g.node_count());
-  std::vector<NodeId> stack{start};
-  seen.set(start.index());
-  while (!stack.empty()) {
-    const NodeId node = stack.back();
-    stack.pop_back();
-    for (EdgeId e : g.out_edges(node)) {
-      const NodeId succ = g.to(e);
-      if (!seen.test(succ.index())) {
-        seen.set(succ.index());
-        stack.push_back(succ);
-      }
-    }
-  }
-  return seen;
-}
-
 SccResult strongly_connected_components(const Digraph& g) {
   // Iterative Tarjan to avoid stack overflow on long chains.
   const std::size_t n = g.node_count();

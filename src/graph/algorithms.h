@@ -15,9 +15,6 @@ std::optional<std::vector<NodeId>> topological_sort(const Digraph& g);
 /// True iff the graph contains a directed cycle (self-loops count).
 bool has_cycle(const Digraph& g);
 
-/// Set of nodes reachable from `start` following out-edges; includes start.
-DynamicBitset reachable_from(const Digraph& g, NodeId start);
-
 /// Strongly connected components, Tarjan's algorithm.
 /// Returns component index per node; components are numbered in reverse
 /// topological order of the condensation (i.e. component of an edge source

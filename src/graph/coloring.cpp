@@ -15,20 +15,6 @@ void UndirectedGraph::add_edge(std::size_t a, std::size_t b) {
   adj_[b].set(a);
 }
 
-UndirectedGraph UndirectedGraph::complement() const {
-  const std::size_t n = adj_.size();
-  UndirectedGraph out(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    // flip: set all, clear originals and the diagonal
-    DynamicBitset all(n);
-    all.set_all();
-    all.and_not(adj_[v]);
-    all.reset(v);
-    out.adj_[v] = std::move(all);
-  }
-  return out;
-}
-
 ColoringResult color_dsatur(const UndirectedGraph& conflict) {
   const std::size_t n = conflict.node_count();
   constexpr std::size_t kUncolored = static_cast<std::size_t>(-1);
@@ -63,57 +49,6 @@ ColoringResult color_dsatur(const UndirectedGraph& conflict) {
         [&](std::size_t u) { saturation[u].set(colour); });
   }
   return result;
-}
-
-std::vector<std::vector<std::size_t>> clique_partition(
-    const UndirectedGraph& compat) {
-  const std::size_t n = compat.node_count();
-  std::vector<std::vector<std::size_t>> groups;
-  DynamicBitset remaining(n);
-  remaining.set_all();
-
-  while (remaining.any()) {
-    // Seed: remaining node with the most remaining-compatible neighbours.
-    std::size_t seed = n;
-    std::size_t seed_deg = 0;
-    remaining.for_each([&](std::size_t v) {
-      DynamicBitset nb = compat.neighbors(v);
-      nb &= remaining;
-      const std::size_t deg = nb.count();
-      if (seed == n || deg > seed_deg) {
-        seed = v;
-        seed_deg = deg;
-      }
-    });
-
-    std::vector<std::size_t> clique{seed};
-    DynamicBitset candidates = compat.neighbors(seed);
-    candidates &= remaining;
-    candidates.reset(seed);
-
-    while (candidates.any()) {
-      // Next member: candidate keeping the largest candidate set.
-      std::size_t pick = n;
-      std::size_t pick_score = 0;
-      candidates.for_each([&](std::size_t v) {
-        DynamicBitset kept = candidates;
-        kept &= compat.neighbors(v);
-        const std::size_t score = kept.count();
-        if (pick == n || score > pick_score) {
-          pick = v;
-          pick_score = score;
-        }
-      });
-      clique.push_back(pick);
-      candidates &= compat.neighbors(pick);
-      candidates.reset(pick);
-    }
-
-    for (std::size_t v : clique) remaining.reset(v);
-    std::sort(clique.begin(), clique.end());
-    groups.push_back(std::move(clique));
-  }
-  return groups;
 }
 
 }  // namespace camad::graph

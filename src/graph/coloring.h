@@ -1,9 +1,9 @@
-// Undirected conflict graphs and colouring / clique partitioning.
+// Undirected conflict graphs and colouring.
 //
-// Resource sharing in synthesis reduces to clique partitioning of a
-// *compatibility* graph (vertices that may share one unit) or, dually,
-// colouring of its complement *conflict* graph. Both are NP-hard; we ship
-// the classic greedy heuristics used by 1980s HLS systems.
+// Resource sharing in synthesis reduces to colouring a *conflict* graph
+// (vertices that may not share one unit) — dually, clique partitioning of
+// its complement compatibility graph. Both are NP-hard; register sharing
+// uses the classic DSATUR heuristic of 1980s HLS systems.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +32,6 @@ class UndirectedGraph {
     return adj_[v].count();
   }
 
-  /// Complement graph (no self-loops).
-  [[nodiscard]] UndirectedGraph complement() const;
-
  private:
   std::vector<DynamicBitset> adj_;
 };
@@ -47,11 +44,5 @@ struct ColoringResult {
 /// DSATUR colouring of a conflict graph: adjacent nodes get distinct
 /// colours; colour count approximates the chromatic number.
 ColoringResult color_dsatur(const UndirectedGraph& conflict);
-
-/// Greedy clique partitioning of a *compatibility* graph (Tseng/Siewiorek
-/// style): repeatedly grows a clique around the densest remaining node.
-/// Each returned group is a clique; groups cover all nodes.
-std::vector<std::vector<std::size_t>> clique_partition(
-    const UndirectedGraph& compat);
 
 }  // namespace camad::graph

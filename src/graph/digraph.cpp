@@ -6,12 +6,6 @@ namespace camad::graph {
 
 Digraph::Digraph(std::size_t node_count) : out_(node_count), in_(node_count) {}
 
-NodeId Digraph::add_node() {
-  out_.emplace_back();
-  in_.emplace_back();
-  return NodeId(static_cast<NodeId::underlying_type>(out_.size() - 1));
-}
-
 EdgeId Digraph::add_edge(NodeId from, NodeId to, std::int64_t weight) {
   if (from.index() >= out_.size() || to.index() >= out_.size()) {
     throw ModelError("Digraph::add_edge: endpoint out of range");

@@ -24,7 +24,6 @@ class Digraph {
   /// Creates a graph with `node_count` isolated nodes.
   explicit Digraph(std::size_t node_count);
 
-  NodeId add_node();
   /// Adds a directed edge from -> to. Parallel edges and self-loops allowed.
   EdgeId add_edge(NodeId from, NodeId to, std::int64_t weight = 0);
 

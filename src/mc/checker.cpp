@@ -554,19 +554,6 @@ struct Search {
 
 }  // namespace
 
-petri::ReachabilityResult McResult::to_reachability() const {
-  petri::ReachabilityResult out;
-  out.complete = complete;
-  out.safe = safe;
-  out.bounded = bounded;
-  out.deadlock = deadlock;
-  out.can_terminate = can_terminate;
-  out.marking_count = marking_count;
-  out.unsafe_witness = unsafe_witness;
-  out.deadlock_witness = deadlock_witness;
-  return out;
-}
-
 bool same_verdicts(const McResult& a, const McResult& b) {
   return a.complete == b.complete && a.cutoff_reason == b.cutoff_reason &&
          a.safe == b.safe && a.bounded == b.bounded &&

@@ -30,7 +30,6 @@
 #include "dcf/system.h"
 #include "petri/marking.h"
 #include "petri/net.h"
-#include "petri/reachability.h"
 
 namespace camad::serve {
 class Budget;  // serve/budget.h — std-only, safe for any layer
@@ -134,9 +133,6 @@ struct McResult {
   [[nodiscard]] bool ok() const {
     return complete && safe && !deadlock && conflicts.empty();
   }
-  /// Projection onto petri::ReachabilityResult (for differential checks
-  /// and for feeding code written against the petri API).
-  [[nodiscard]] petri::ReachabilityResult to_reachability() const;
 };
 
 /// Thread-count-invariance comparison: every verdict field (stats

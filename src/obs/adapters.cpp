@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "obs/trace.h"
-
 namespace camad::obs {
 namespace {
 
@@ -108,17 +106,6 @@ void publish_pass_stats(MetricsRegistry& registry,
     registry.set(base + ".vertices_after",
                  static_cast<double>(pass.vertices_after));
   }
-}
-
-void trace_sim_stats(const sim::SimStats& stats) {
-  TraceSession* session = TraceSession::active();
-  if (session == nullptr) return;
-  session->counter("sim.plan_cache.hits",
-                   static_cast<double>(stats.plan_cache_hits));
-  session->counter("sim.plan_cache.misses",
-                   static_cast<double>(stats.plan_cache_misses));
-  session->counter("sim.plan_cache.size",
-                   static_cast<double>(stats.plan_cache_size));
 }
 
 }  // namespace camad::obs

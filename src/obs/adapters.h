@@ -1,5 +1,5 @@
 // Bridges from the engines' existing stats structs into a
-// MetricsRegistry (and onto a trace's counter tracks), so each struct
+// MetricsRegistry, so each struct
 // stops hand-rolling its own reporting surface. The structs stay the
 // in-library source of truth; these adapters define the exported names.
 #pragma once
@@ -44,9 +44,5 @@ void publish_analysis_stats(MetricsRegistry& registry,
 void publish_pass_stats(MetricsRegistry& registry,
                         const std::vector<transform::PassStats>& stats,
                         std::string_view prefix = "pass");
-
-/// Emits the plan-cache stats onto the active trace's counter tracks
-/// (no-op when tracing is disabled).
-void trace_sim_stats(const sim::SimStats& stats);
 
 }  // namespace camad::obs

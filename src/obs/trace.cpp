@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/json.h"
 
@@ -183,12 +182,6 @@ void TraceSession::write_json(std::ostream& out) const {
   }
   writer.end_array().kv("displayTimeUnit", "ms").end_object();
   out << '\n';
-}
-
-std::string TraceSession::to_json() const {
-  std::ostringstream out;
-  write_json(out);
-  return out.str();
 }
 
 }  // namespace camad::obs

@@ -98,7 +98,6 @@ class TraceSession {
   /// and Perfetto. Open spans are closed at their thread's last
   /// timestamp so the document is always well-formed.
   void write_json(std::ostream& out) const;
-  [[nodiscard]] std::string to_json() const;
 
  private:
   struct Event {

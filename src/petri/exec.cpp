@@ -33,15 +33,6 @@ bool is_enabled(const Net& net, const Marking& m, TransitionId t) {
   return true;
 }
 
-std::vector<TransitionId> enabled_transitions(const Net& net, const Marking& m,
-                                              const GuardFn& guard) {
-  std::vector<TransitionId> out;
-  for (TransitionId t : net.transitions()) {
-    if (is_enabled(net, m, t) && (!guard || guard(t))) out.push_back(t);
-  }
-  return out;
-}
-
 Marking fire(const Net& net, const Marking& m, TransitionId t) {
   if (!is_enabled(net, m, t)) {
     throw ModelError("fire: transition " + net.name(t) + " not enabled");
@@ -50,12 +41,6 @@ Marking fire(const Net& net, const Marking& m, TransitionId t) {
   for (PlaceId p : net.pre(t)) next.remove_token(p);
   for (PlaceId p : net.post(t)) next.add_token(p);
   return next;
-}
-
-std::vector<TransitionId> fire_maximal_step(const Net& net, Marking& m,
-                                            const GuardFn& guard) {
-  std::vector<TransitionId> order = net.transitions();
-  return fire_step_in_order(net, m, order, guard);
 }
 
 std::vector<TransitionId> fire_step_in_order(

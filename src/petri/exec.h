@@ -21,22 +21,15 @@ using GuardFn = std::function<bool(TransitionId)>;
 /// Rule 3: all input places of `t` carry at least one token.
 bool is_enabled(const Net& net, const Marking& m, TransitionId t);
 
-/// Enabled transitions, optionally filtered by a guard function.
-std::vector<TransitionId> enabled_transitions(const Net& net, const Marking& m,
-                                              const GuardFn& guard = nullptr);
-
 /// Rule 5: fires `t`, consuming one token per input place and producing one
 /// per output place. Throws ModelError if `t` is not enabled.
 Marking fire(const Net& net, const Marking& m, TransitionId t);
 
-/// Fires a maximal non-conflicting step: scans enabled transitions in id
-/// order, firing each that is still enabled after earlier firings in the
-/// same step. Returns the fired set (empty = dead marking).
-std::vector<TransitionId> fire_maximal_step(const Net& net, Marking& m,
-                                            const GuardFn& guard = nullptr);
-
-/// Fires the transitions of `order` that are enabled, in the given order;
-/// used to exercise alternative interleavings in confluence tests.
+/// Fires one step: scans `order`, firing each transition still enabled
+/// (and guard-allowed) after earlier firings in the same step. With
+/// `order` = net.transitions() that is a maximal non-conflicting step;
+/// other orders exercise alternative interleavings in confluence tests.
+/// Returns the fired set (empty = no transition of `order` could fire).
 std::vector<TransitionId> fire_step_in_order(
     const Net& net, Marking& m, const std::vector<TransitionId>& order,
     const GuardFn& guard = nullptr);

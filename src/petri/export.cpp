@@ -3,38 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/dot.h"
-
 namespace camad::petri {
-
-std::string to_dot(const Net& net, const Marking* marking) {
-  DotWriter dot("petri_net");
-  for (PlaceId p : net.places()) {
-    DotWriter::Attrs attrs{{"shape", "circle"}};
-    std::string label = net.name(p);
-    if (marking != nullptr && marking->tokens(p) > 0) {
-      label += " (" + std::to_string(marking->tokens(p)) + ")";
-      attrs.emplace_back("style", "filled");
-      attrs.emplace_back("fillcolor", "lightblue");
-    }
-    attrs.emplace_back("label", label);
-    dot.add_node("p" + std::to_string(p.value()), attrs);
-  }
-  for (TransitionId t : net.transitions()) {
-    dot.add_node("t" + std::to_string(t.value()),
-                 {{"shape", "box"}, {"label", net.name(t)}});
-  }
-  for (TransitionId t : net.transitions()) {
-    const std::string tn = "t" + std::to_string(t.value());
-    for (PlaceId p : net.pre(t)) {
-      dot.add_edge("p" + std::to_string(p.value()), tn);
-    }
-    for (PlaceId p : net.post(t)) {
-      dot.add_edge(tn, "p" + std::to_string(p.value()));
-    }
-  }
-  return dot.finish();
-}
 
 namespace {
 

@@ -1,16 +1,12 @@
-// Graphviz export of Petri nets (places = circles, transitions = boxes).
+// PNML export of Petri nets.
 #pragma once
 
 #include <string>
+#include <string_view>
 
-#include "petri/marking.h"
 #include "petri/net.h"
 
 namespace camad::petri {
-
-/// DOT text for the net; when `marking` is non-null, marked places are
-/// filled and annotated with their token count.
-std::string to_dot(const Net& net, const Marking* marking = nullptr);
 
 /// PNML (ISO/IEC 15909-2 Place/Transition net) XML for interoperability
 /// with standard Petri-net tools; carries names and the initial marking.

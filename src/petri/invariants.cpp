@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 
 #include "util/error.h"
@@ -25,88 +24,6 @@ void reduce_row(Row& row) {
   for (std::int64_t& v : row) v /= g;
 }
 
-/// reduce_row plus a sign flip making the first nonzero entry positive.
-/// NOT for Farkas rows — flipping would destroy their nonnegativity.
-void normalize_row(Row& row) {
-  reduce_row(row);
-  for (std::int64_t v : row) {
-    if (v != 0) {
-      if (v < 0) {
-        for (std::int64_t& w : row) w = -w;
-      }
-      break;
-    }
-  }
-}
-
-/// Integer basis of {x : M x = 0} via fraction-free Gaussian elimination.
-/// Entries stay exact; intermediates use __int128 and are re-normalized
-/// per row to keep magnitudes small (net matrices have entries in {-1,0,1}).
-Matrix null_space_basis(Matrix m, std::size_t cols) {
-  const std::size_t rows = m.size();
-  std::vector<std::size_t> pivot_col;  // pivot column of each pivot row
-
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < cols && rank < rows; ++col) {
-    // Find pivot.
-    std::size_t pivot = rank;
-    while (pivot < rows && m[pivot][col] == 0) ++pivot;
-    if (pivot == rows) continue;
-    std::swap(m[rank], m[pivot]);
-
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (r == rank || m[r][col] == 0) continue;
-      const std::int64_t a = m[rank][col];
-      const std::int64_t b = m[r][col];
-      for (std::size_t c = 0; c < cols; ++c) {
-        const __int128 value = static_cast<__int128>(m[r][c]) * a -
-                               static_cast<__int128>(m[rank][c]) * b;
-        if (value > std::numeric_limits<std::int64_t>::max() ||
-            value < std::numeric_limits<std::int64_t>::min()) {
-          throw Error("null_space_basis: coefficient overflow");
-        }
-        m[r][c] = static_cast<std::int64_t>(value);
-      }
-      normalize_row(m[r]);
-    }
-    pivot_col.push_back(col);
-    ++rank;
-  }
-
-  // Free columns parametrize the null space.
-  std::vector<bool> is_pivot(cols, false);
-  for (std::size_t c : pivot_col) is_pivot[c] = true;
-
-  Matrix basis;
-  for (std::size_t free_col = 0; free_col < cols; ++free_col) {
-    if (is_pivot[free_col]) continue;
-    Row x(cols, 0);
-    // Set the free variable to the lcm of pivot entries so the solution is
-    // integral: x[pivot] = -m[r][free] * (L / m[r][pivot]).
-    std::int64_t lcm = 1;
-    for (std::size_t r = 0; r < rank; ++r) {
-      const std::int64_t p = m[r][pivot_col[r]] < 0 ? -m[r][pivot_col[r]]
-                                                    : m[r][pivot_col[r]];
-      lcm = lcm / gcd64(lcm, p) * p;
-    }
-    x[free_col] = lcm;
-    for (std::size_t r = 0; r < rank; ++r) {
-      x[pivot_col[r]] = -m[r][free_col] * (lcm / m[r][pivot_col[r]]);
-    }
-    normalize_row(x);
-    basis.push_back(std::move(x));
-  }
-  return basis;
-}
-
-Matrix transpose(const Matrix& m, std::size_t cols) {
-  Matrix out(cols, Row(m.size(), 0));
-  for (std::size_t r = 0; r < m.size(); ++r) {
-    for (std::size_t c = 0; c < cols; ++c) out[c][r] = m[r][c];
-  }
-  return out;
-}
-
 }  // namespace
 
 Matrix incidence_matrix(const Net& net) {
@@ -118,17 +35,6 @@ Matrix incidence_matrix(const Net& net) {
   return c;
 }
 
-Matrix p_invariant_basis(const Net& net) {
-  // yᵀC = 0  <=>  Cᵀ y = 0.
-  const Matrix c = incidence_matrix(net);
-  return null_space_basis(transpose(c, net.transition_count()),
-                          net.place_count());
-}
-
-Matrix t_invariant_basis(const Net& net) {
-  return null_space_basis(incidence_matrix(net), net.transition_count());
-}
-
 bool is_p_invariant(const Net& net, const Row& y) {
   if (y.size() != net.place_count()) return false;
   bool nonzero = false;
@@ -138,20 +44,6 @@ bool is_p_invariant(const Net& net, const Row& y) {
     std::int64_t sum = 0;
     for (PlaceId p : net.pre(t)) sum -= y[p.index()];
     for (PlaceId p : net.post(t)) sum += y[p.index()];
-    if (sum != 0) return false;
-  }
-  return true;
-}
-
-bool is_t_invariant(const Net& net, const Row& x) {
-  if (x.size() != net.transition_count()) return false;
-  bool nonzero = false;
-  for (std::int64_t v : x) nonzero |= (v != 0);
-  if (!nonzero) return false;
-  for (PlaceId p : net.places()) {
-    std::int64_t sum = 0;
-    for (TransitionId t : net.pre(p)) sum += x[t.index()];
-    for (TransitionId t : net.post(p)) sum -= x[t.index()];
     if (sum != 0) return false;
   }
   return true;

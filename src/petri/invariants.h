@@ -1,16 +1,12 @@
 // Structural (linear-algebraic) Petri-net invariants.
 //
-// With incidence matrix C (|S| rows, |T| columns, C[p][t] = post - pre):
-//   * a P-invariant is an integer vector y ≥ 0, y ≠ 0 with yᵀC = 0 —
-//     the y-weighted token sum is constant under firing; a net covered by
-//     P-invariants with all initial sums ≤ 1 is safe without state-space
-//     exploration (used as the fast path of the Def 3.2 safety check);
-//   * a T-invariant is x ≥ 0, x ≠ 0 with Cx = 0 — a firing-count vector
-//     returning the net to its start (cyclic schedules).
-//
-// We compute a rational basis of the relevant null space with exact
-// fraction-free Gaussian elimination, scale to primitive integer vectors,
-// and (for the nonnegative queries) search small nonnegative combinations.
+// With incidence matrix C (|S| rows, |T| columns, C[p][t] = post - pre),
+// a P-invariant is an integer vector y ≥ 0, y ≠ 0 with yᵀC = 0 — the
+// y-weighted token sum is constant under firing. A net covered by
+// P-invariants with all initial sums ≤ 1 is safe without state-space
+// exploration (the fast path of the Def 3.2 safety check). The minimal
+// semi-positive P-invariants come from Farkas' algorithm in exact integer
+// arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -23,19 +19,8 @@ namespace camad::petri {
 /// Incidence matrix C with C[p][t] = tokens produced - tokens consumed.
 std::vector<std::vector<std::int64_t>> incidence_matrix(const Net& net);
 
-/// Basis of the integer left null space of C (P-invariant space).
-/// Vectors are primitive (gcd 1) with positive leading entry; entries may
-/// be negative — nonnegativity is a property of *semi-positive* invariants,
-/// queried separately.
-std::vector<std::vector<std::int64_t>> p_invariant_basis(const Net& net);
-
-/// Basis of the integer right null space of C (T-invariant space).
-std::vector<std::vector<std::int64_t>> t_invariant_basis(const Net& net);
-
 /// True iff `y` is a P-invariant of the net (yᵀC = 0).
 bool is_p_invariant(const Net& net, const std::vector<std::int64_t>& y);
-/// True iff `x` is a T-invariant of the net (Cx = 0).
-bool is_t_invariant(const Net& net, const std::vector<std::int64_t>& x);
 
 /// Semi-positive P-invariants found by combining basis vectors (best
 /// effort; complete for the fork/join nets the compiler emits).

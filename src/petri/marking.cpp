@@ -42,15 +42,6 @@ void Marking::marked_into(DynamicBitset& out) const {
   }
 }
 
-void Marking::marked_places_into(std::vector<PlaceId>& out) const {
-  out.clear();
-  for (std::size_t i = 0; i < tokens_.size(); ++i) {
-    if (tokens_[i] > 0) {
-      out.emplace_back(static_cast<PlaceId::underlying_type>(i));
-    }
-  }
-}
-
 std::size_t Marking::hash() const {
   std::size_t h = 1469598103934665603ULL;
   for (std::uint32_t t : tokens_) {

@@ -37,9 +37,6 @@ class Marking {
   /// marked). Allocation-free when `out` already spans place_count() bits;
   /// resizes it otherwise.
   void marked_into(DynamicBitset& out) const;
-  /// Fills `out` with the marked places in ascending order, reusing its
-  /// capacity (allocation-free once it has grown to the high-water mark).
-  void marked_places_into(std::vector<PlaceId>& out) const;
 
   friend bool operator==(const Marking&, const Marking&) = default;
 

@@ -32,13 +32,4 @@ OrderRelations::OrderRelations(const Net& net) {
   }
 }
 
-std::vector<PlaceId> OrderRelations::parallel_set(PlaceId i) const {
-  std::vector<PlaceId> out;
-  for (std::size_t j = 0; j < closure_.size(); ++j) {
-    const PlaceId pj(static_cast<PlaceId::underlying_type>(j));
-    if (parallel(i, pj)) out.push_back(pj);
-  }
-  return out;
-}
-
 }  // namespace camad::petri

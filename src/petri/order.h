@@ -13,7 +13,7 @@
 //  * ∥ is a structural over-approximation of true concurrency: exclusive
 //    alternatives (if/else branches) are structurally unordered and hence
 //    classified parallel although no reachable marking marks both. The
-//    semantic refinement is petri::concurrent_places().
+//    semantic refinement is semantics::AnalysisCache::concurrency().
 #pragma once
 
 #include <vector>
@@ -43,9 +43,6 @@ class OrderRelations {
   [[nodiscard]] bool in_loop(PlaceId i, PlaceId j) const {
     return before(i, j) && before(j, i);
   }
-
-  /// All places parallel to `i`.
-  [[nodiscard]] std::vector<PlaceId> parallel_set(PlaceId i) const;
 
   [[nodiscard]] std::size_t place_count() const { return closure_.size(); }
 

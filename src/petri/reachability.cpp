@@ -1,11 +1,9 @@
 #include "petri/reachability.h"
 
 #include <deque>
-
-#include "petri/exec.h"
 #include <unordered_set>
 
-#include "util/error.h"
+#include "petri/exec.h"
 
 namespace camad::petri {
 namespace {
@@ -102,24 +100,6 @@ ConcurrencyRelation concurrent_places_bounded(
     }
   });
   return out;
-}
-
-std::vector<Marking> reachable_markings(const Net& net,
-                                        const ReachabilityOptions& options) {
-  MarkingSet set = collect_markings(net, options);
-  if (!set.exploration.complete) {
-    throw Error("reachable_markings: state space exceeds max_markings");
-  }
-  return std::move(set.markings);
-}
-
-std::vector<bool> concurrent_places(const Net& net,
-                                    const ReachabilityOptions& options) {
-  ConcurrencyRelation relation = concurrent_places_bounded(net, options);
-  if (!relation.exploration.complete) {
-    throw Error("concurrent_places: state space exceeds max_markings");
-  }
-  return std::move(relation.concurrent);
 }
 
 }  // namespace camad::petri

@@ -1,10 +1,14 @@
-// Explicit-state reachability analysis.
+// Reference explicit-state reachability explorer.
 //
-// Used by the dcf::check layer to decide Def 3.2 condition (2) — the
-// control net must be *safe* — and to detect dead markings. Exploration
+// Production state-space questions go to mc::model_check (through
+// semantics::AnalysisCache for dcf::check and the transformations). This
+// explorer is the independent reference mc is checked against: the gen
+// oracle's `mc` stage (`camad-gen --mc-crosscheck`), McDiffSweep and
+// McCorpusDiff (tests/mc_diff_test.cpp) and experiment E5. Exploration
 // treats every transition as fireable (guards ignored), which
 // over-approximates the guarded behaviour: if the unguarded net is safe,
-// the guarded one is too.
+// the guarded one is too. ReachabilityOptions is also the budget type
+// dcf::CheckOptions and semantics::AnalysisCache take.
 #pragma once
 
 #include <cstdint>
@@ -58,30 +62,15 @@ MarkingSet collect_markings(const Net& net,
 
 /// Bounded concurrency relation: `concurrent[i*|S|+j]` is true iff some
 /// visited marking marks both place i and place j (and `i*|S|+i` iff
-/// some visited marking puts >= 2 tokens on place i). When
+/// some visited marking puts >= 2 tokens on place i) — the *semantic*
+/// refinement of the paper's structural ∥ relation (petri/order.h). When
 /// `exploration.complete` is false the relation is an under-approximation
-/// over the visited prefix — callers needing soundness for legality
-/// decisions must check completeness (or use the throwing wrapper below).
+/// over the visited prefix.
 struct ConcurrencyRelation {
   ReachabilityResult exploration;
   std::vector<bool> concurrent;
 };
 ConcurrencyRelation concurrent_places_bounded(
     const Net& net, const ReachabilityOptions& options = {});
-
-/// All reachable markings (throws Error if exploration is incomplete).
-/// Prefer collect_markings when a cutoff is a reportable outcome rather
-/// than an error.
-std::vector<Marking> reachable_markings(
-    const Net& net, const ReachabilityOptions& options = {});
-
-/// Place-concurrency relation from reachability: result[i*|S|+j] is true
-/// iff some reachable marking marks both place i and place j (i != j).
-/// This is the *semantic* refinement of the paper's structural ∥ relation;
-/// see petri/order.h for the structural one. Throws Error if exploration
-/// is incomplete; prefer concurrent_places_bounded where a cutoff must
-/// degrade gracefully.
-std::vector<bool> concurrent_places(const Net& net,
-                                    const ReachabilityOptions& options = {});
 
 }  // namespace camad::petri

@@ -10,8 +10,7 @@ namespace camad::semantics {
 namespace {
 
 constexpr std::array<std::string_view, kAnalysisCount> kNames = {
-    "reachability", "concurrency",       "order",
-    "dependence",   "liveness",          "exact-concurrency"};
+    "reachability", "order", "dependence", "liveness", "exact-concurrency"};
 
 std::uint32_t bit(Analysis analysis) {
   return std::uint32_t{1} << static_cast<std::uint32_t>(analysis);
@@ -48,17 +47,11 @@ PreservedAnalyses PreservedAnalyses::all() {
 PreservedAnalyses PreservedAnalyses::control_net() {
   return PreservedAnalyses{}
       .preserve(Analysis::kReachability)
-      .preserve(Analysis::kConcurrency)
       .preserve(Analysis::kOrder);
 }
 
 PreservedAnalyses& PreservedAnalyses::preserve(Analysis analysis) {
   mask_ |= bit(analysis);
-  return *this;
-}
-
-PreservedAnalyses& PreservedAnalyses::abandon(Analysis analysis) {
-  mask_ &= ~bit(analysis);
   return *this;
 }
 
@@ -140,14 +133,19 @@ AnalysisCache::AnalysisCache(const dcf::System& system,
       ntransitions_(system.control().net().transition_count()),
       mu_(std::make_unique<std::mutex>()) {}
 
-const petri::ReachabilityResult& AnalysisCache::reachability() const {
+const mc::McResult& AnalysisCache::reachability() const {
   const std::lock_guard<std::mutex> lock(*mu_);
   const auto i = index(Analysis::kReachability);
   if (reachability_ == nullptr) {
     ++stats_.misses[i];
     const obs::ObsSpan span("analysis.reachability");
-    reachability_ = std::make_shared<const petri::ReachabilityResult>(
-        petri::explore(system_->control().net(), reach_));
+    mc::McOptions opt;
+    opt.threads = 1;
+    opt.max_states = reach_.max_markings;
+    opt.token_bound = reach_.token_bound;
+    opt.collect_traces = false;
+    reachability_ = std::make_shared<const mc::McResult>(
+        mc::model_check(system_->control().net(), opt));
   } else {
     ++stats_.hits[i];
   }
@@ -155,17 +153,12 @@ const petri::ReachabilityResult& AnalysisCache::reachability() const {
 }
 
 const std::vector<bool>& AnalysisCache::concurrency() const {
-  const std::lock_guard<std::mutex> lock(*mu_);
-  const auto i = index(Analysis::kConcurrency);
-  if (concurrency_ == nullptr) {
-    ++stats_.misses[i];
-    const obs::ObsSpan span("analysis.concurrency");
-    concurrency_ = std::make_shared<const std::vector<bool>>(
-        petri::concurrent_places(system_->control().net(), reach_));
-  } else {
-    ++stats_.hits[i];
+  const mc::McResult& reach = reachability();
+  if (!reach.complete) {
+    throw Error("concurrency: control-net state space exceeds the "
+                "exploration budget (" + reach.cutoff_reason + ")");
   }
-  return *concurrency_;
+  return reach.concurrency;
 }
 
 bool AnalysisCache::co_marked(petri::PlaceId a, petri::PlaceId b) const {
@@ -207,10 +200,6 @@ const mc::McResult& AnalysisCache::model_check() const {
   return *exact_;
 }
 
-const std::vector<bool>& AnalysisCache::exact_concurrency() const {
-  return model_check().concurrency;
-}
-
 const DependenceRelation& AnalysisCache::dependence(
     const DependenceOptions& options) const {
   const std::lock_guard<std::mutex> lock(*mu_);
@@ -239,7 +228,6 @@ AnalysisCache AnalysisCache::successor(
   };
   if (same_net_shape) {
     carry(Analysis::kReachability, reachability_, out.reachability_);
-    carry(Analysis::kConcurrency, concurrency_, out.concurrency_);
     carry(Analysis::kOrder, order_, out.order_);
     // Unlike the pure control-net analyses above, the model check also
     // reads the data path (guard classification), so control_net() never

@@ -2,13 +2,19 @@
 // protocol.
 //
 // Every transformation legality check in the repo consults the same few
-// facts about a system: the reachability of its control net, the
-// reachable place-concurrency relation (a full state-space exploration),
-// the structural order F⁺ (Def 2.3), the data dependence relation
-// (Defs 4.2-4.4), and — for register sharing — the definedness-aware
-// liveness analysis. Before this module each consumer recomputed them
-// ad hoc, so a design-space exploration step paid O(candidates)
-// reachability explorations for one unchanged control net.
+// facts about a system: the reachability of its control net and the
+// reachable place-concurrency relation (both from one state-space
+// exploration), the structural order F⁺ (Def 2.3), the data dependence
+// relation (Defs 4.2-4.4), and — for register sharing — the
+// definedness-aware liveness analysis. Before this module each consumer
+// recomputed them ad hoc, so a design-space exploration step paid
+// O(candidates) reachability explorations for one unchanged control net.
+//
+// The state space comes from mc::model_check, the one state-space engine
+// in production: reachability() and concurrency() read one unguarded run
+// per control net, model_check() one guard-aware run. petri::explore is
+// kept only as the reference those runs are checked against (the oracle's
+// `mc` stage, tests/mc_diff_test.cpp).
 //
 // An AnalysisCache binds to one dcf::System and computes each analysis
 // lazily, at most once. Transformations declare, via PreservedAnalyses,
@@ -45,14 +51,13 @@
 namespace camad::semantics {
 
 enum class Analysis : std::uint8_t {
-  kReachability = 0,  ///< petri::explore over the control net
-  kConcurrency,       ///< petri::concurrent_places (reachable co-marking)
+  kReachability = 0,  ///< unguarded mc::model_check (and co-marking)
   kOrder,             ///< petri::OrderRelations (structural F⁺)
   kDependence,        ///< DependenceRelation, keyed by clause options
   kLiveness,          ///< transform-layer register liveness (slot)
   kExactConcurrency,  ///< mc::model_check guard-aware state space
 };
-inline constexpr std::size_t kAnalysisCount = 6;
+inline constexpr std::size_t kAnalysisCount = 5;
 
 std::string_view analysis_name(Analysis analysis);
 
@@ -61,13 +66,12 @@ class PreservedAnalyses {
  public:
   [[nodiscard]] static PreservedAnalyses none() { return {}; }
   [[nodiscard]] static PreservedAnalyses all();
-  /// Everything derived from the control net alone: reachability,
-  /// concurrency, structural order. The declaration of choice for
-  /// data-path-only transformations (merge, regshare, split).
+  /// Everything derived from the control net alone: reachability (with
+  /// its co-marking relation) and structural order. The declaration of
+  /// choice for data-path-only transformations (merge, regshare, split).
   [[nodiscard]] static PreservedAnalyses control_net();
 
   PreservedAnalyses& preserve(Analysis analysis);
-  PreservedAnalyses& abandon(Analysis analysis);
   [[nodiscard]] bool preserved(Analysis analysis) const;
   [[nodiscard]] bool empty() const { return mask_ == 0; }
 
@@ -79,7 +83,7 @@ class PreservedAnalyses {
     return *this;
   }
 
-  /// "reachability+concurrency+order" or "none".
+  /// "reachability+order" or "none".
   [[nodiscard]] std::string to_string() const;
 
  private:
@@ -108,11 +112,11 @@ struct AnalysisCacheStats {
 
 class AnalysisCache {
  public:
-  /// `mc_options`, when given, replaces the default options of the
-  /// guard-aware model_check() analysis (which otherwise mirror
-  /// `reachability`'s max_markings / token_bound); it lets a CLI or
-  /// service thread its --threads/--max-states/budget configuration
-  /// through the cache while keeping every other analysis untouched.
+  /// `reachability` sets the state budget (max_markings) and token bound
+  /// of both model checks. `mc_options`, when given, replaces the options
+  /// of the guard-aware model_check() analysis; it lets a CLI or service
+  /// thread its --threads/--max-states/budget configuration through the
+  /// cache while keeping every other analysis untouched.
   explicit AnalysisCache(
       const dcf::System& system,
       petri::ReachabilityOptions reachability = {},
@@ -133,9 +137,15 @@ class AnalysisCache {
     return reach_;
   }
 
-  /// Full reachability exploration of the control net.
-  const petri::ReachabilityResult& reachability() const;
-  /// Reachable co-marking relation (row-major |S|×|S|, diagonal false).
+  /// Reachability of the control net: one unguarded mc::model_check at
+  /// one thread (the callers already run on workers), which also records
+  /// the co-marking relation. Never throws on a budget cutoff — check
+  /// `.complete`.
+  const mc::McResult& reachability() const;
+  /// Reachable co-marking relation of reachability() (row-major |S|×|S|;
+  /// the diagonal marks places that can hold two tokens). Throws Error
+  /// when that run is incomplete, so a partial relation never feeds a
+  /// legality decision.
   const std::vector<bool>& concurrency() const;
   [[nodiscard]] bool co_marked(petri::PlaceId a, petri::PlaceId b) const;
   /// Structural order relations (Def 2.3).
@@ -145,13 +155,10 @@ class AnalysisCache {
   const DependenceRelation& dependence(
       const DependenceOptions& options = {}) const;
   /// Guard-aware model-check of the control net (mc::model_check with
-  /// max_states / token_bound mirroring this cache's ReachabilityOptions).
-  /// Never throws on a budget cutoff — check `.complete`.
+  /// max_states / token_bound mirroring this cache's ReachabilityOptions
+  /// unless `mc_options` was given). Never throws on a budget cutoff —
+  /// check `.complete`.
   const mc::McResult& model_check() const;
-  /// The exact (guard-aware reachable) place-concurrency relation, a
-  /// subset of concurrency(). Partial when model_check().complete is
-  /// false — callers making legality decisions must check completeness.
-  const std::vector<bool>& exact_concurrency() const;
 
   /// Extension slot for analyses defined in higher layers (transform's
   /// liveness): computes T at most once under `kind`, via `compute`,
@@ -199,8 +206,7 @@ class AnalysisCache {
   std::size_t ntransitions_ = 0;
 
   mutable std::unique_ptr<std::mutex> mu_;
-  mutable std::shared_ptr<const petri::ReachabilityResult> reachability_;
-  mutable std::shared_ptr<const std::vector<bool>> concurrency_;
+  mutable std::shared_ptr<const mc::McResult> reachability_;
   mutable std::shared_ptr<const mc::McResult> exact_;
   mutable std::shared_ptr<const petri::OrderRelations> order_;
   mutable std::map<std::uint8_t,

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "petri/order.h"
-#include "petri/reachability.h"
 #include "semantics/analysis.h"
 #include "util/error.h"
 

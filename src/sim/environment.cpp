@@ -25,11 +25,6 @@ void Environment::consume(dcf::VertexId input_vertex) {
   }
 }
 
-std::size_t Environment::consumed(dcf::VertexId input_vertex) const {
-  const auto it = streams_.find(input_vertex);
-  return it == streams_.end() ? 0 : it->second.position;
-}
-
 void Environment::rewind() {
   for (auto& [vertex, stream] : streams_) stream.position = 0;
   exhausted_ = false;

@@ -27,8 +27,6 @@ class Environment {
   [[nodiscard]] dcf::Value current(dcf::VertexId input_vertex) const;
   /// Advances the stream by one value.
   void consume(dcf::VertexId input_vertex);
-  /// Values consumed so far.
-  [[nodiscard]] std::size_t consumed(dcf::VertexId input_vertex) const;
   /// True iff any current() call returned ⊥ due to exhaustion.
   [[nodiscard]] bool exhausted() const { return exhausted_; }
 

@@ -869,8 +869,6 @@ struct Simulator::Impl {
 Simulator::Simulator(const dcf::System& system)
     : impl_(std::make_unique<Impl>(system)) {}
 Simulator::~Simulator() = default;
-Simulator::Simulator(Simulator&&) noexcept = default;
-Simulator& Simulator::operator=(Simulator&&) noexcept = default;
 
 SimResult Simulator::run(Environment& env, const SimOptions& options) {
   if (options.engine == SimEngine::kReference) {

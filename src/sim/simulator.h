@@ -166,8 +166,6 @@ class Simulator {
  public:
   explicit Simulator(const dcf::System& system);
   ~Simulator();
-  Simulator(Simulator&&) noexcept;
-  Simulator& operator=(Simulator&&) noexcept;
 
   /// Runs one simulation. Honors every SimOptions field, including
   /// `engine` (kReference bypasses the plan cache) and

@@ -4,14 +4,6 @@
 
 namespace camad::sim {
 
-std::vector<dcf::Value> Trace::values_at(dcf::ArcId arc) const {
-  std::vector<dcf::Value> out;
-  for (const ExternalEvent& event : events_) {
-    if (event.arc == arc) out.push_back(event.value);
-  }
-  return out;
-}
-
 std::string Trace::to_string(const dcf::System& system) const {
   const auto& net = system.control().net();
   const auto& dp = system.datapath();

@@ -56,9 +56,6 @@ class Trace {
   /// Appends the next event in occurrence order (the engines' writer).
   void add_event(const ExternalEvent& event) { events_.push_back(event); }
 
-  /// The value sequence observed at one external arc.
-  [[nodiscard]] std::vector<dcf::Value> values_at(dcf::ArcId arc) const;
-
   [[nodiscard]] std::size_t event_count() const { return events_.size(); }
 
   /// Human-readable dump, one line per cycle record with that cycle's

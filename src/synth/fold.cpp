@@ -9,14 +9,16 @@ namespace {
 
 std::size_t folded_ops = 0;  // per-call accumulator (single-threaded)
 
-ExprPtr fold_impl(const Expr& e) {
+}  // namespace
+
+ExprPtr fold_expr(const Expr& e) {
   switch (e.kind) {
     case ExprKind::kLiteral:
       return Expr::literal_of(e.literal);
     case ExprKind::kVariable:
       return Expr::variable(e.name);
     case ExprKind::kUnary: {
-      ExprPtr operand = fold_impl(*e.lhs);
+      ExprPtr operand = fold_expr(*e.lhs);
       if (operand->kind == ExprKind::kLiteral) {
         const std::vector<dcf::Value> in{dcf::Value(operand->literal)};
         const dcf::Value v = dcf::evaluate_op(dcf::Operation{e.op, 0}, in);
@@ -28,9 +30,9 @@ ExprPtr fold_impl(const Expr& e) {
       return Expr::unary(e.op, std::move(operand));
     }
     case ExprKind::kMux: {
-      ExprPtr cond = fold_impl(*e.lhs);
-      ExprPtr a = fold_impl(*e.rhs);
-      ExprPtr b = fold_impl(*e.third);
+      ExprPtr cond = fold_expr(*e.lhs);
+      ExprPtr a = fold_expr(*e.rhs);
+      ExprPtr b = fold_expr(*e.third);
       // kMux evaluates all operands eagerly (⊥ in either branch poisons
       // the result), so folding is only sound when all three are known.
       if (cond->kind == ExprKind::kLiteral && a->kind == ExprKind::kLiteral &&
@@ -41,8 +43,8 @@ ExprPtr fold_impl(const Expr& e) {
       return Expr::mux(std::move(cond), std::move(a), std::move(b));
     }
     case ExprKind::kBinary: {
-      ExprPtr lhs = fold_impl(*e.lhs);
-      ExprPtr rhs = fold_impl(*e.rhs);
+      ExprPtr lhs = fold_expr(*e.lhs);
+      ExprPtr rhs = fold_expr(*e.rhs);
       if (lhs->kind == ExprKind::kLiteral &&
           rhs->kind == ExprKind::kLiteral) {
         const std::vector<dcf::Value> in{dcf::Value(lhs->literal),
@@ -59,20 +61,22 @@ ExprPtr fold_impl(const Expr& e) {
   return Expr::literal_of(0);  // unreachable
 }
 
+namespace {
+
 void fold_block(Block& block);
 
 void fold_stmt(Stmt& stmt) {
   switch (stmt.kind) {
     case StmtKind::kAssign:
-      stmt.value = fold_impl(*stmt.value);
+      stmt.value = fold_expr(*stmt.value);
       break;
     case StmtKind::kIf:
-      stmt.cond = fold_impl(*stmt.cond);
+      stmt.cond = fold_expr(*stmt.cond);
       fold_block(stmt.body);
       fold_block(stmt.els);
       break;
     case StmtKind::kWhile:
-      stmt.cond = fold_impl(*stmt.cond);
+      stmt.cond = fold_expr(*stmt.cond);
       fold_block(stmt.body);
       break;
     case StmtKind::kPar:
@@ -86,10 +90,6 @@ void fold_block(Block& block) {
 }
 
 }  // namespace
-
-ExprPtr fold_expr(const Expr& expr) {
-  return fold_impl(expr);
-}
 
 std::size_t fold_constants(Program& program) {
   folded_ops = 0;

@@ -82,25 +82,6 @@ dcf::System merge_states(const dcf::System& system, PlaceId s1,
 
 }  // namespace
 
-bool can_chain(const dcf::System& system, PlaceId s1,
-               const ChainOptions& options) {
-  const semantics::AnalysisCache cache(system);
-  return can_chain(system, s1, cache, options);
-}
-
-bool can_chain(const dcf::System& system, PlaceId s1,
-               const semantics::AnalysisCache& cache,
-               const ChainOptions& options) {
-  if (!(cache.bound_to(system))) {
-    throw Error("can_chain: analysis cache bound to a different system");
-  }
-  const auto link = linear_successor(system, s1);
-  if (!link) return false;
-  const PlaceId s2 = link->second;
-  return !cache.dependence(options.dependence).direct(s1, s2) &&
-         association_disjoint(system, s1, s2);
-}
-
 dcf::System chain_states(const dcf::System& system,
                          const ChainOptions& options, ChainStats* stats) {
   const semantics::AnalysisCache cache(system);

@@ -30,16 +30,10 @@ struct ChainStats {
   std::size_t states_merged = 0;  ///< number of removed states
 };
 
-/// Returns true iff S2 (the unique successor of S1 through an unguarded
-/// 1-in/1-out transition) may be chained into S1. The cached overload
-/// pulls the dependence relation from `cache` (bound to `system`).
-bool can_chain(const dcf::System& system, petri::PlaceId s1,
-               const ChainOptions& options = {});
-bool can_chain(const dcf::System& system, petri::PlaceId s1,
-               const semantics::AnalysisCache& cache,
-               const ChainOptions& options = {});
-
-/// Repeatedly chains every eligible adjacent pair until a fixpoint.
+/// Repeatedly chains every eligible adjacent pair until a fixpoint: S2
+/// (the unique successor of S1 through an unguarded 1-in/1-out
+/// transition) is chained into S1 when no direct dependence links them
+/// and their association sets are disjoint.
 /// Chaining rewrites the control net, so it preserves *no* analyses; the
 /// cached overload only serves the first fixpoint iteration (bound to the
 /// input system) — later iterations recompute on the rewritten net.

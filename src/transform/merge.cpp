@@ -5,7 +5,6 @@
 
 #include "obs/trace.h"
 #include "petri/order.h"
-#include "petri/reachability.h"
 #include "util/error.h"
 
 namespace camad::transform {

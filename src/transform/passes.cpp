@@ -1,5 +1,6 @@
 #include "transform/passes.h"
 
+#include <array>
 #include <chrono>
 #include <optional>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "transform/parallelize.h"
 #include "transform/regshare.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace camad::transform {
 namespace {
@@ -120,21 +122,35 @@ class CleanupPass final : public Pass {
   CleanupStats stats_;
 };
 
+template <typename P>
+std::unique_ptr<Pass> make() {
+  return std::make_unique<P>();
+}
+
+/// Every registered pass in canonical order; each pass's name() is its
+/// registered name.
+constexpr std::array<std::unique_ptr<Pass> (*)(), 5> kRegistry = {
+    make<ParallelizePass>, make<MergeAllPass>, make<RegSharePass>,
+    make<ChainPass>, make<CleanupPass>};
+
 }  // namespace
 
 std::unique_ptr<Pass> make_pass(std::string_view name) {
-  if (name == "parallelize") return std::make_unique<ParallelizePass>();
-  if (name == "merge-all") return std::make_unique<MergeAllPass>();
-  if (name == "regshare") return std::make_unique<RegSharePass>();
-  if (name == "chain") return std::make_unique<ChainPass>();
-  if (name == "cleanup") return std::make_unique<CleanupPass>();
+  for (const auto factory : kRegistry) {
+    std::unique_ptr<Pass> pass = factory();
+    if (pass->name() == name) return pass;
+  }
   throw TransformError("unknown pass '" + std::string(name) +
-                       "' (registered: parallelize, merge-all, regshare, "
-                       "chain, cleanup)");
+                       "' (registered: " + join(registered_passes(), ", ") +
+                       ")");
 }
 
 std::vector<std::string_view> registered_passes() {
-  return {"parallelize", "merge-all", "regshare", "chain", "cleanup"};
+  // Every name() returns a string literal, so the views outlive the
+  // temporary passes.
+  std::vector<std::string_view> names;
+  for (const auto factory : kRegistry) names.push_back(factory()->name());
+  return names;
 }
 
 PassPipeline& PassPipeline::add(std::unique_ptr<Pass> pass) {

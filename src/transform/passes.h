@@ -43,8 +43,8 @@ class Pass {
   [[nodiscard]] virtual std::string counters() const { return {}; }
 };
 
-/// Instantiates a registered pass: "parallelize", "merge-all", "regshare",
-/// "chain", "cleanup". Throws TransformError for unknown names.
+/// Instantiates the registered pass called `name`. Throws TransformError,
+/// listing registered_passes(), for unknown names.
 [[nodiscard]] std::unique_ptr<Pass> make_pass(std::string_view name);
 /// All registered pass names, in canonical order.
 [[nodiscard]] std::vector<std::string_view> registered_passes();

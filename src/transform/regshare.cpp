@@ -7,7 +7,6 @@
 #include "dcf/ops.h"
 #include "obs/trace.h"
 #include "petri/order.h"
-#include "petri/reachability.h"
 #include "util/error.h"
 
 namespace camad::transform {
@@ -253,12 +252,6 @@ LivenessResult analyze_liveness(const dcf::System& system) {
     }
   }
   return result;
-}
-
-graph::UndirectedGraph interference_graph(const dcf::System& system,
-                                          const LivenessResult& liveness) {
-  const semantics::AnalysisCache cache(system);
-  return interference_graph(system, liveness, cache);
 }
 
 graph::UndirectedGraph interference_graph(

@@ -65,11 +65,8 @@ LivenessResult analyze_liveness(const dcf::System& system);
 /// most once per cache generation.
 const LivenessResult& cached_liveness(const semantics::AnalysisCache& cache);
 
-/// Interference graph over `liveness.registers`. The cached overload
-/// pulls the structural order and co-marking relation from `cache`
-/// (bound to `system`) instead of recomputing them.
-graph::UndirectedGraph interference_graph(const dcf::System& system,
-                                          const LivenessResult& liveness);
+/// Interference graph over `liveness.registers`, with the structural
+/// order and co-marking relation from `cache` (bound to `system`).
 graph::UndirectedGraph interference_graph(
     const dcf::System& system, const LivenessResult& liveness,
     const semantics::AnalysisCache& cache);

@@ -52,12 +52,6 @@ DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& rhs) {
   return *this;
 }
 
-DynamicBitset& DynamicBitset::operator^=(const DynamicBitset& rhs) {
-  assert(size_ == rhs.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= rhs.words_[i];
-  return *this;
-}
-
 DynamicBitset& DynamicBitset::and_not(const DynamicBitset& rhs) {
   assert(size_ == rhs.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~rhs.words_[i];
@@ -70,21 +64,6 @@ bool DynamicBitset::intersects(const DynamicBitset& rhs) const {
     if ((words_[i] & rhs.words_[i]) != 0) return true;
   }
   return false;
-}
-
-bool DynamicBitset::is_subset_of(const DynamicBitset& rhs) const {
-  assert(size_ == rhs.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~rhs.words_[i]) != 0) return false;
-  }
-  return true;
-}
-
-std::vector<std::size_t> DynamicBitset::to_indices() const {
-  std::vector<std::size_t> out;
-  out.reserve(count());
-  for_each([&](std::size_t i) { out.push_back(i); });
-  return out;
 }
 
 std::size_t DynamicBitset::hash() const {

@@ -50,14 +50,11 @@ class DynamicBitset {
   /// In-place bitwise operators; operands must have equal size.
   DynamicBitset& operator|=(const DynamicBitset& rhs);
   DynamicBitset& operator&=(const DynamicBitset& rhs);
-  DynamicBitset& operator^=(const DynamicBitset& rhs);
   /// *this &= ~rhs.
   DynamicBitset& and_not(const DynamicBitset& rhs);
 
   /// True iff this and rhs share at least one set bit.
   [[nodiscard]] bool intersects(const DynamicBitset& rhs) const;
-  /// True iff every set bit of this is also set in rhs.
-  [[nodiscard]] bool is_subset_of(const DynamicBitset& rhs) const;
 
   friend bool operator==(const DynamicBitset&, const DynamicBitset&) = default;
 
@@ -73,9 +70,6 @@ class DynamicBitset {
       }
     }
   }
-
-  /// Collects set bit indices into a vector.
-  [[nodiscard]] std::vector<std::size_t> to_indices() const;
 
   /// Hash over the word representation (size-sensitive).
   [[nodiscard]] std::size_t hash() const;

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+
 #include "dcf/builder.h"
 #include "dcf/check.h"
 #include "fixtures.h"
+#include "petri/invariants.h"
+#include "semantics/analysis.h"
 #include "util/error.h"
 
 namespace camad::dcf {
@@ -13,6 +19,44 @@ bool has_violation(const CheckReport& report, Rule rule) {
     if (v.rule == rule) return true;
   }
   return false;
+}
+
+bool mentions(const std::vector<Violation>& list, Rule rule,
+              std::string_view text) {
+  for (const Violation& v : list) {
+    if (v.rule == rule && v.message.find(text) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// if/else branches S1, S2 sharing register r: structurally parallel (a
+/// rule-1 violation) but never co-marked, so the reachable-concurrency
+/// mode accepts the design. Its control net has three reachable markings.
+System exclusive_branches() {
+  dcf::SystemBuilder b;
+  const auto x = b.input("x");
+  const auto r = b.reg("r");
+  const auto flag = b.reg("flag");
+  const auto s0 = b.state("S0", true);
+  const auto s1 = b.state("S1");
+  const auto s2 = b.state("S2");
+  b.connect(x, r, 0, {s0});
+  const auto a0 = b.arc(b.out(x, 0), b.in(flag));
+  b.control(s0, a0);
+  b.arc(b.out(r), b.in(r), {s1});
+  const auto shared = b.arc(b.out(r), b.in(r));
+  b.control(s2, shared);
+  const auto t1 = b.chain(s0, s1, "Tthen");
+  const auto t2 = b.chain(s0, s2, "Telse");
+  // Complementary guards via a NOT unit.
+  const auto neg = b.unit("neg", OpCode::kNot);
+  const auto na = b.arc(b.out(flag), b.in(neg));
+  b.control(s0, na);
+  b.guard(t1, flag);
+  b.guard(t2, b.out(neg));
+  return b.build();
 }
 
 TEST(Check, FixturesAreProperlyDesigned) {
@@ -74,30 +118,7 @@ TEST(Check, SharedArcAcrossParallelStatesViolatesRule1) {
 }
 
 TEST(Check, ReachableConcurrencyModeAllowsExclusiveBranches) {
-  // if/else branches sharing a vertex: structurally parallel (violation),
-  // but never co-marked — the reachability-based mode accepts it.
-  dcf::SystemBuilder b;
-  const auto x = b.input("x");
-  const auto r = b.reg("r");
-  const auto flag = b.reg("flag");
-  const auto s0 = b.state("S0", true);
-  const auto s1 = b.state("S1");
-  const auto s2 = b.state("S2");
-  b.connect(x, r, 0, {s0});
-  const auto a0 = b.arc(b.out(x, 0), b.in(flag));
-  b.control(s0, a0);
-  b.arc(b.out(r), b.in(r), {s1});
-  const auto shared = b.arc(b.out(r), b.in(r));
-  b.control(s2, shared);
-  const auto t1 = b.chain(s0, s1, "Tthen");
-  const auto t2 = b.chain(s0, s2, "Telse");
-  // Complementary guards via a NOT unit.
-  const auto neg = b.unit("neg", OpCode::kNot);
-  const auto na = b.arc(b.out(flag), b.in(neg));
-  b.control(s0, na);
-  b.guard(t1, flag);
-  b.guard(t2, b.out(neg));
-  const System sys = b.build();
+  const System sys = exclusive_branches();
 
   CheckOptions structural;
   const CheckReport strict = check_properly_designed(sys, structural);
@@ -389,6 +410,87 @@ TEST(Check, ReportFormatsViolations) {
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("sequential-result"), std::string::npos);
   EXPECT_NE(rule_name(Rule::kSafety), "");
+}
+
+// --- exploration budget -------------------------------------------------
+//
+// Each case runs through both overloads: the cache-less one builds its
+// own AnalysisCache, the cached one reads the caller's. Rule 1's
+// fallback on a budget cutoff is tested in tests/mc_test.cpp:
+// McExactCheck.BudgetExhaustionFallsBackWithWarning.
+
+/// Both overloads' reports for `options`, the cached one against a cache
+/// built with `cache_budget`.
+std::pair<CheckReport, CheckReport> both_overloads(
+    const System& sys, const CheckOptions& options,
+    const petri::ReachabilityOptions& cache_budget) {
+  const semantics::AnalysisCache cache(sys, cache_budget);
+  return {check_properly_designed(sys, options),
+          check_properly_designed(sys, cache, options)};
+}
+
+TEST(CheckBudget, CachedOverloadRecomputesAgainstCallerBudget) {
+  const System sys = exclusive_branches();
+  CheckOptions tight;
+  tight.use_reachable_concurrency = true;
+  tight.reachability.max_markings = 2;
+  // A cache with the default budget completes; the caller's budget does
+  // not, so the fallback must still show.
+  const auto [own, cached] = both_overloads(sys, tight, {});
+  EXPECT_TRUE(mentions(cached.warnings, Rule::kParallelDisjoint,
+                       "exceeded the exploration budget"))
+      << cached.to_string();
+  EXPECT_EQ(cached.to_string(), own.to_string());
+
+  // And the other way round: an over-budget cache does not stop a caller
+  // with the default budget from getting the reachable verdict.
+  CheckOptions roomy;
+  roomy.use_reachable_concurrency = true;
+  const auto [own_roomy, cached_roomy] =
+      both_overloads(sys, roomy, tight.reachability);
+  EXPECT_FALSE(has_violation(cached_roomy, Rule::kParallelDisjoint))
+      << cached_roomy.to_string();
+  EXPECT_FALSE(mentions(cached_roomy.warnings, Rule::kParallelDisjoint,
+                        "exceeded the exploration budget"));
+  EXPECT_EQ(cached_roomy.to_string(), own_roomy.to_string());
+}
+
+TEST(CheckBudget, SafetyNotEstablishedWhenCertificateCannotCover) {
+  // A <-> B is a one-token loop. T2 needs A and B together, so it never
+  // fires and C stays empty: the net is safe with two reachable
+  // markings. But T2 returns A's and B's tokens and adds one on C, so
+  // every P-invariant gives C weight 0 and the certificate cannot cover
+  // it; rule 2 needs the explorer.
+  dcf::SystemBuilder b;
+  const auto sa = b.state("A", true);
+  const auto sb = b.state("B");
+  const auto sc = b.state("C");
+  b.chain(sa, sb, "T0");
+  b.chain(sb, sa, "T1");
+  const auto t2 = b.transition("T2");
+  b.flow(sa, t2);
+  b.flow(sb, t2);
+  b.flow(t2, sa);
+  b.flow(t2, sb);
+  b.flow(t2, sc);
+  const System sys = b.build();
+  ASSERT_FALSE(petri::covered_by_safe_invariants(sys.control().net()));
+
+  CheckOptions roomy;
+  const auto [own, cached] = both_overloads(sys, roomy, roomy.reachability);
+  EXPECT_FALSE(has_violation(own, Rule::kSafety)) << own.to_string();
+  EXPECT_EQ(own.to_string(), cached.to_string());
+
+  CheckOptions tight;
+  tight.reachability.max_markings = 1;
+  const auto [own_tight, cached_tight] =
+      both_overloads(sys, tight, tight.reachability);
+  for (const CheckReport& report : {own_tight, cached_tight}) {
+    EXPECT_TRUE(
+        mentions(report.violations, Rule::kSafety, "safety not established"))
+        << report.to_string();
+  }
+  EXPECT_EQ(own_tight.to_string(), cached_tight.to_string());
 }
 
 }  // namespace

@@ -22,8 +22,8 @@ Digraph diamond() {
 }
 
 TEST(Digraph, Structure) {
-  Digraph g(2);
-  const NodeId n2 = g.add_node();
+  Digraph g(3);
+  const NodeId n2(2);
   EXPECT_EQ(g.node_count(), 3u);
   const EdgeId e = g.add_edge(NodeId(0), n2, 5);
   EXPECT_EQ(g.from(e), NodeId(0));
@@ -66,17 +66,6 @@ TEST(TopoSort, EmptyGraph) {
   const auto order = topological_sort(g);
   ASSERT_TRUE(order.has_value());
   EXPECT_TRUE(order->empty());
-}
-
-TEST(Reachability, FollowsEdges) {
-  const Digraph g = diamond();
-  const DynamicBitset from0 = reachable_from(g, NodeId(0));
-  EXPECT_EQ(from0.count(), 4u);
-  const DynamicBitset from1 = reachable_from(g, NodeId(1));
-  EXPECT_TRUE(from1.test(1));
-  EXPECT_TRUE(from1.test(3));
-  EXPECT_FALSE(from1.test(0));
-  EXPECT_FALSE(from1.test(2));
 }
 
 TEST(Scc, SinglesAndLoop) {
@@ -147,12 +136,17 @@ TEST(TransitiveClosure, MatchesBruteForceOnRandomGraphs) {
     }
     const auto closure = transitive_closure(g);
     for (std::size_t i = 0; i < n; ++i) {
-      // Brute force: BFS from i, then drop the trivial self unless a
-      // genuine cycle path exists. reachable_from includes the start
-      // unconditionally, so check via successors.
+      // Brute force: depth-first search seeded with i's successors, so i
+      // itself is reached only through a genuine cycle.
       DynamicBitset expect(n);
-      for (EdgeId e : g.out_edges(NodeId(i))) {
-        expect |= reachable_from(g, g.to(e));
+      std::vector<NodeId> stack;
+      for (EdgeId e : g.out_edges(NodeId(i))) stack.push_back(g.to(e));
+      while (!stack.empty()) {
+        const NodeId node = stack.back();
+        stack.pop_back();
+        if (expect.test(node.index())) continue;
+        expect.set(node.index());
+        for (EdgeId e : g.out_edges(node)) stack.push_back(g.to(e));
       }
       EXPECT_EQ(closure[i], expect) << "node " << i << " trial " << trial;
     }
@@ -197,16 +191,6 @@ TEST(Undirected, EdgesAreSymmetric) {
   EXPECT_THROW(g.add_edge(0, 9), ModelError);
 }
 
-TEST(Undirected, Complement) {
-  UndirectedGraph g(3);
-  g.add_edge(0, 1);
-  const UndirectedGraph c = g.complement();
-  EXPECT_FALSE(c.has_edge(0, 1));
-  EXPECT_TRUE(c.has_edge(0, 2));
-  EXPECT_TRUE(c.has_edge(1, 2));
-  EXPECT_FALSE(c.has_edge(0, 0));
-}
-
 TEST(Dsatur, ProperColoring) {
   // Odd cycle of 5 needs 3 colours.
   UndirectedGraph g(5);
@@ -229,40 +213,6 @@ TEST(Dsatur, BipartiteUsesTwoColors) {
 TEST(Dsatur, EmptyAndEdgeless) {
   EXPECT_EQ(color_dsatur(UndirectedGraph(0)).color_count, 0u);
   EXPECT_EQ(color_dsatur(UndirectedGraph(4)).color_count, 1u);
-}
-
-TEST(CliquePartition, GroupsAreCliquesAndCover) {
-  Rng rng(5);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t n = 3 + rng.below(15);
-    UndirectedGraph g(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (rng.chance(0.4)) g.add_edge(i, j);
-      }
-    }
-    const auto groups = clique_partition(g);
-    std::vector<bool> covered(n, false);
-    for (const auto& group : groups) {
-      for (std::size_t a = 0; a < group.size(); ++a) {
-        EXPECT_FALSE(covered[group[a]]);
-        covered[group[a]] = true;
-        for (std::size_t b = a + 1; b < group.size(); ++b) {
-          EXPECT_TRUE(g.has_edge(group[a], group[b]));
-        }
-      }
-    }
-    EXPECT_TRUE(std::all_of(covered.begin(), covered.end(),
-                            [](bool v) { return v; }));
-  }
-}
-
-TEST(CliquePartition, CompleteGraphIsOneGroup) {
-  UndirectedGraph g(5);
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = i + 1; j < 5; ++j) g.add_edge(i, j);
-  }
-  EXPECT_EQ(clique_partition(g).size(), 1u);
 }
 
 }  // namespace

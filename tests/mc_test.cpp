@@ -564,8 +564,6 @@ TEST(McCutoff, BudgetExhaustionReturnsIncompleteInsteadOfThrowing) {
   EXPECT_EQ(out.cutoff_reason, "max-states");
   EXPECT_FALSE(out.ok());
   EXPECT_GE(out.state_count, 1U);
-  const petri::ReachabilityResult proj = out.to_reachability();
-  EXPECT_FALSE(proj.complete);
 }
 
 // --- witnesses --------------------------------------------------------------
@@ -630,20 +628,19 @@ TEST(BoundedReachability, CollectMarkingsCompleteAndCutoff) {
   tight.max_markings = 2;
   const petri::MarkingSet cut = petri::collect_markings(net, tight);
   EXPECT_FALSE(cut.exploration.complete);
-  EXPECT_THROW(petri::reachable_markings(net, tight), Error);
   const petri::ConcurrencyRelation rel =
       petri::concurrent_places_bounded(net, tight);
   EXPECT_FALSE(rel.exploration.complete);
-  EXPECT_THROW(petri::concurrent_places(net, tight), Error);
 }
 
-// --- rule 1: pairwise over the exact relation == whole-marking check --------
+// --- rule 1: pairwise over the reachable relation == whole-marking check ----
 
 TEST(McExactCheck, Rule1PairwiseEqualsWholeMarking) {
   // Def 3.2 rule 1 quantifies over pairs of parallel states, so the
-  // pairwise check over the exact co-marking relation must coincide with
-  // brute-force disjointness per whole reachable marking: a pair of
-  // states is jointly active in some reachable marking iff the exact
+  // pairwise check over mc's co-marking relation (what dcf::check's
+  // reachable mode reads through AnalysisCache::concurrency()) must
+  // coincide with brute-force disjointness per whole reachable marking: a
+  // pair of states is jointly active in some reachable marking iff the
   // relation marks it concurrent. Verified here by recomputing the
   // relation from the enumerated marking set.
   for (const dcf::System& sys :
@@ -676,8 +673,9 @@ TEST(McExactCheck, Rule1PairwiseEqualsWholeMarking) {
 
 TEST(McExactCheck, StructuralAndExactRule1Disagree) {
   // Structurally the diamond branches are parallel (neither F⁺-precedes
-  // the other) and share register r -> rule-1 violation. Exactly they
-  // are never co-marked -> properly designed.
+  // the other) and share register r -> rule-1 violation. In mc's
+  // reachable co-marking relation (dcf::check's reachable mode) they are
+  // never co-marked -> properly designed.
   const dcf::System sys = make_guarded_branch();
 
   const dcf::CheckReport structural = dcf::check_properly_designed(sys);
@@ -687,60 +685,86 @@ TEST(McExactCheck, StructuralAndExactRule1Disagree) {
   }
   EXPECT_TRUE(rule1) << structural.to_string();
 
-  dcf::CheckOptions exact;
-  exact.exact = true;
-  const dcf::CheckReport refined = dcf::check_properly_designed(sys, exact);
+  dcf::CheckOptions reachable;
+  reachable.use_reachable_concurrency = true;
+  const dcf::CheckReport refined =
+      dcf::check_properly_designed(sys, reachable);
   EXPECT_TRUE(refined.ok()) << refined.to_string();
 }
 
-TEST(McExactCheck, ExactModeReportsGuardAwareSafetyWitness) {
-  dcf::CheckOptions exact;
-  exact.exact = true;
-  const dcf::CheckReport report =
-      dcf::check_properly_designed(make_unsafe_fork(), exact);
-  bool rule2 = false;
-  for (const dcf::Violation& v : report.violations) {
-    rule2 |= v.rule == dcf::Rule::kSafety &&
-             v.message.find("guard-aware") != std::string::npos;
-  }
-  EXPECT_TRUE(rule2) << report.to_string();
-}
-
 TEST(McExactCheck, BudgetExhaustionFallsBackWithWarning) {
-  dcf::CheckOptions exact;
-  exact.exact = true;
-  exact.reachability.max_markings = 1;
-  const dcf::CheckReport report =
-      dcf::check_properly_designed(make_gcd(), exact);
-  bool warned = false;
-  for (const dcf::Violation& w : report.warnings) {
-    warned |= w.message.find("falling back") != std::string::npos;
+  // An mc run cut short by the budget never refines rule 1: through
+  // either overload the check warns and keeps the structural verdict,
+  // the rule-1 violation the complete run would have removed.
+  const dcf::System sys = make_guarded_branch();
+  dcf::CheckOptions reachable;
+  reachable.use_reachable_concurrency = true;
+  reachable.reachability.max_markings = 1;
+  const semantics::AnalysisCache cache(sys, reachable.reachability);
+  const dcf::CheckReport own = dcf::check_properly_designed(sys, reachable);
+  const dcf::CheckReport cached =
+      dcf::check_properly_designed(sys, cache, reachable);
+  for (const dcf::CheckReport& report : {own, cached}) {
+    bool warned = false;
+    for (const dcf::Violation& w : report.warnings) {
+      warned |= w.message.find("exceeded the exploration budget") !=
+                std::string::npos;
+    }
+    EXPECT_TRUE(warned) << report.to_string();
+    bool rule1 = false;
+    for (const dcf::Violation& v : report.violations) {
+      rule1 |= v.rule == dcf::Rule::kParallelDisjoint;
+    }
+    EXPECT_TRUE(rule1) << report.to_string();
   }
-  EXPECT_TRUE(warned) << report.to_string();
+  EXPECT_EQ(own.to_string(), cached.to_string());
 }
 
 TEST(McExactCheck, AgreesWithStructuralOnCleanDesigns) {
-  // On designs where the structural check already passes, exact mode
-  // must pass too (it only removes spurious violations, never adds
-  // rule-1/3 ones on complete runs).
-  dcf::CheckOptions exact;
-  exact.exact = true;
+  // On designs where the structural check already passes, the reachable
+  // mode must pass too (it only removes spurious rule-1/4 violations,
+  // never adds any on complete runs).
+  dcf::CheckOptions reachable;
+  reachable.use_reachable_concurrency = true;
   for (const dcf::System& sys :
        {make_doubler(), make_two_lane(), gen::random_system(7)}) {
     ASSERT_TRUE(dcf::check_properly_designed(sys).ok()) << sys.name();
-    EXPECT_TRUE(dcf::check_properly_designed(sys, exact).ok()) << sys.name();
+    EXPECT_TRUE(dcf::check_properly_designed(sys, reachable).ok())
+        << sys.name();
   }
 }
 
 // --- AnalysisCache integration ----------------------------------------------
+
+TEST(McAnalysisCache, ReachabilityIsOneUnguardedRun) {
+  // reachability() and concurrency() read one unguarded one-thread mc run
+  // with the cache's budget; a partial relation is never handed out.
+  const dcf::System sys = make_guarded_branch();
+  const semantics::AnalysisCache cache(sys);
+  mc::McOptions opt;
+  opt.threads = 1;
+  opt.use_guards = false;
+  opt.collect_traces = false;
+  EXPECT_TRUE(mc::same_verdicts(cache.reachability(),
+                                mc::model_check(sys, opt)));
+  EXPECT_EQ(&cache.concurrency(), &cache.reachability().concurrency);
+  const auto idx =
+      static_cast<std::size_t>(semantics::Analysis::kReachability);
+  EXPECT_EQ(cache.stats().misses[idx], 1U);
+
+  petri::ReachabilityOptions tight;
+  tight.max_markings = 1;
+  const semantics::AnalysisCache cut(sys, tight);
+  EXPECT_FALSE(cut.reachability().complete);
+  EXPECT_THROW((void)cut.concurrency(), Error);
+}
 
 TEST(McAnalysisCache, ExactConcurrencyIsMemoizedAndCarried) {
   const dcf::System sys = make_guarded_branch();
   semantics::AnalysisCache cache(sys);
   const mc::McResult& first = cache.model_check();
   EXPECT_TRUE(first.complete);
-  const std::vector<bool>& conc = cache.exact_concurrency();
-  EXPECT_EQ(conc, first.concurrency);
+  EXPECT_EQ(&cache.model_check(), &first);
   const auto idx =
       static_cast<std::size_t>(semantics::Analysis::kExactConcurrency);
   EXPECT_EQ(cache.stats().misses[idx], 1U);

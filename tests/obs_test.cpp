@@ -215,6 +215,12 @@ class JsonParser {
 
 /// Parses a trace document and returns its traceEvents array, asserting
 /// the envelope shape on the way.
+std::string trace_json(const obs::TraceSession& session) {
+  std::ostringstream out;
+  session.write_json(out);
+  return out.str();
+}
+
 JsonArray trace_events(const std::string& json) {
   const JsonValue doc = JsonParser(json).parse();
   EXPECT_TRUE(doc.is_object());
@@ -238,7 +244,7 @@ TEST(TraceSession, EventsCarryRequiredFieldsAndNest) {
   }
   session.deactivate();
 
-  const JsonArray events = trace_events(session.to_json());
+  const JsonArray events = trace_events(trace_json(session));
   // 2 spans (B+E each) + 1 counter + 1 instant, plus possible metadata.
   std::size_t spans = 0;
   std::map<double, std::vector<char>> stacks;  // tid -> open-phase stack
@@ -307,7 +313,7 @@ TEST(TraceSession, DeterministicModeIsByteIdentical) {
     }
     session.instant("done");
     session.deactivate();
-    return session.to_json();
+    return trace_json(session);
   };
   const std::string first = record();
   const std::string second = record();
@@ -330,7 +336,7 @@ TEST(TraceSession, ParallelWorkersRecordWithoutLossOrInterleaving) {
   });
   session.deactivate();
 
-  const JsonArray events = trace_events(session.to_json());
+  const JsonArray events = trace_events(trace_json(session));
   std::size_t begins = 0;
   std::size_t counters = 0;
   std::map<double, std::size_t> open;  // tid -> currently open spans

@@ -74,7 +74,8 @@ TEST(Liveness, ReadsWritesAndRanges) {
 TEST(Interference, DisjointRangesDoNotInterfere) {
   const dcf::System sys = synth::compile_source(kDisjoint);
   const LivenessResult liveness = analyze_liveness(sys);
-  const graph::UndirectedGraph graph = interference_graph(sys, liveness);
+  const graph::UndirectedGraph graph =
+      interference_graph(sys, liveness, semantics::AnalysisCache(sys));
   const std::size_t x = index_of(liveness, sys, "x");
   const std::size_t y = index_of(liveness, sys, "y");
   const std::size_t z = index_of(liveness, sys, "z");
@@ -105,7 +106,8 @@ TEST(RegShare, LoopCarriedValuesStayDistinct) {
   const dcf::System sys =
       synth::compile_source(std::string(synth::gcd_source()));
   const LivenessResult liveness = analyze_liveness(sys);
-  const graph::UndirectedGraph graph = interference_graph(sys, liveness);
+  const graph::UndirectedGraph graph =
+      interference_graph(sys, liveness, semantics::AnalysisCache(sys));
   const std::size_t x = index_of(liveness, sys, "x");
   const std::size_t y = index_of(liveness, sys, "y");
   EXPECT_TRUE(graph.has_edge(x, y));
@@ -148,7 +150,8 @@ TEST(RegShare, ParallelBranchValuesInterfere) {
   const dcf::System sys =
       synth::compile_source(std::string(synth::parlab_source()));
   const LivenessResult liveness = analyze_liveness(sys);
-  const graph::UndirectedGraph graph = interference_graph(sys, liveness);
+  const graph::UndirectedGraph graph =
+      interference_graph(sys, liveness, semantics::AnalysisCache(sys));
   // w and y are written in parallel branches: must interfere.
   const std::size_t w = index_of(liveness, sys, "w");
   const std::size_t y = index_of(liveness, sys, "y");

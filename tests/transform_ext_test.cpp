@@ -68,15 +68,6 @@ TEST(Chain, RefusesDependentStates) {
             sys.control().net().place_count());
 }
 
-TEST(Chain, CanChainPredicateQuery) {
-  const dcf::System sys = synth::compile_source(kIndependent);
-  bool any = false;
-  for (PlaceId p : sys.control().net().places()) {
-    any |= can_chain(sys, p);
-  }
-  EXPECT_TRUE(any);
-}
-
 TEST(Chain, AllDesignsStayEquivalent) {
   for (const synth::NamedDesign& d : synth::all_designs()) {
     const dcf::System sys = synth::compile_source(std::string(d.source));
