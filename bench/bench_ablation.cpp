@@ -11,8 +11,6 @@
 // sharing reduces area and may serialize (cycles weakly up); combining
 // gives the area win of sharing with part of the cycle win of chaining.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "synth/compile.h"
@@ -69,32 +67,9 @@ void print_table() {
             << table.to_string() << '\n';
 }
 
-void BM_regshare(benchmark::State& state, const std::string& source) {
-  const dcf::System sys = synth::compile_source(source);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(transform::share_registers(sys));
-  }
-}
-
-void BM_chain(benchmark::State& state, const std::string& source) {
-  const dcf::System sys = synth::compile_source(source);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(transform::chain_states(sys));
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::RegisterBenchmark("BM_regshare/traffic", BM_regshare,
-                               std::string(synth::traffic_source()));
-  benchmark::RegisterBenchmark("BM_regshare/ewf", BM_regshare,
-                               std::string(synth::ewf_source()));
-  benchmark::RegisterBenchmark("BM_chain/ewf", BM_chain,
-                               std::string(synth::ewf_source()));
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

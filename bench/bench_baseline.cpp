@@ -9,8 +9,6 @@
 // objective for every design; neither dominates the other on both axes
 // (the baseline is the speed-optimal end of the curve).
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "synth/compile.h"
@@ -60,22 +58,9 @@ void print_table() {
                "balanced objective)\n\n";
 }
 
-void BM_compile(benchmark::State& state, const std::string& source) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(synth::compile_source(source));
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  for (const synth::NamedDesign& d : synth::all_designs()) {
-    benchmark::RegisterBenchmark(("BM_compile/" + d.name).c_str(), BM_compile,
-                                 std::string(d.source));
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

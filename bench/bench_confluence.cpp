@@ -11,8 +11,6 @@
 // Expected shape: 100% agreement for proper systems; well below 100% for
 // the improper one.
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "dcf/builder.h"
@@ -132,25 +130,9 @@ void print_table() {
             << table.to_string() << '\n';
 }
 
-void BM_structure_extract(benchmark::State& state) {
-  const dcf::System sys = transform::parallelize(
-      synth::compile_source(bench::random_program(2)));
-  sim::Environment env = sim::Environment::random_for(sys, 23, 64, 1, 20);
-  const sim::SimResult result = sim::simulate(sys, env);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        semantics::EventStructure::extract(sys, result.trace));
-  }
-}
-
-BENCHMARK(BM_structure_extract)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -11,8 +11,6 @@
 // serialize their users); ordering heuristics land on similar final
 // area (greedy exhaustion) but can differ on intermediate points.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -90,33 +88,9 @@ void print_table() {
             << table.to_string() << '\n';
 }
 
-void BM_merge_all(benchmark::State& state, const std::string& source) {
-  const dcf::System serial = synth::compile_source(source);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(transform::merge_all(serial));
-  }
-}
-
-void BM_mergeable_pairs(benchmark::State& state, const std::string& source) {
-  const dcf::System serial = synth::compile_source(source);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(transform::mergeable_pairs(serial));
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::RegisterBenchmark("BM_merge_all/gcd", BM_merge_all,
-                               std::string(synth::gcd_source()));
-  benchmark::RegisterBenchmark("BM_merge_all/ewf", BM_merge_all,
-                               std::string(synth::ewf_source()));
-  benchmark::RegisterBenchmark("BM_mergeable_pairs/diffeq",
-                               BM_mergeable_pairs,
-                               std::string(synth::diffeq_source()));
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -3,14 +3,12 @@
 // For every benchmark design: cycle count of the serial compile vs the
 // parallelized design under a fixed environment, plus the ablation with
 // the literal Def 4.4 closure (which freezes whole dependence components
-// and is expected to recover ~nothing). The google-benchmark section
-// times the transformation itself.
+// and is expected to recover ~nothing). The table is a ctest golden
+// (tests/golden/bench_parallelize.txt).
 //
 // Expected shape: speedup > 1 on designs with intra-block ILP (diffeq,
 // ewf, fir8, parlab), ~1 on control-dominated gcd/traffic; strict-closure
 // speedup == 1 everywhere.
-
-#include <benchmark/benchmark.h>
 
 #include <iostream>
 
@@ -72,24 +70,9 @@ void print_table() {
             << table.to_string() << '\n';
 }
 
-void BM_parallelize(benchmark::State& state,
-                    const std::string& source) {
-  const dcf::System serial = synth::compile_source(source);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(transform::parallelize(serial));
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  for (const synth::NamedDesign& d : synth::all_designs()) {
-    benchmark::RegisterBenchmark(("BM_parallelize/" + d.name).c_str(),
-                                 BM_parallelize, std::string(d.source));
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -5,18 +5,16 @@
 // explode multiplicatively while the structural analyses (P-invariant
 // safety cover, Def 2.3 order relations) stay polynomial.
 //
-// Expected shape: reachable marking counts grow ~chain^width; explore()
-// time follows; covered_by_safe_invariants() and OrderRelations stay
-// orders of magnitude flatter. This is why the paper's flow can afford
-// to "check whether the systems are properly designed before the
-// synthesis process starts".
-
-#include <benchmark/benchmark.h>
+// Expected shape: reachable marking counts grow ~chain^width, while
+// covered_by_safe_invariants() certifies safety at every width without
+// enumerating a marking. This is why the paper's flow can afford to
+// "check whether the systems are properly designed before the synthesis
+// process starts". The table is a ctest golden
+// (tests/golden/bench_petri.txt).
 
 #include <iostream>
 
 #include "petri/invariants.h"
-#include "petri/order.h"
 #include "petri/reachability.h"
 #include "util/table.h"
 #include "workloads.h"
@@ -56,40 +54,9 @@ void print_table() {
             << table.to_string() << '\n';
 }
 
-void BM_reachability(benchmark::State& state) {
-  const petri::Net net = net_for_width(static_cast<std::size_t>(state.range(0)));
-  petri::ReachabilityOptions options;
-  options.max_markings = 1u << 22;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(petri::explore(net, options));
-  }
-  state.counters["places"] = static_cast<double>(net.place_count());
-}
-
-void BM_invariant_cover(benchmark::State& state) {
-  const petri::Net net = net_for_width(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(petri::covered_by_safe_invariants(net));
-  }
-}
-
-void BM_order_relations(benchmark::State& state) {
-  const petri::Net net = net_for_width(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(petri::OrderRelations(net));
-  }
-}
-
-BENCHMARK(BM_reachability)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_invariant_cover)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_order_relations)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -144,7 +144,7 @@ void check_safety(const System& system,
 void check_conflict_free(const System& system, CheckReport& report) {
   const auto& net = system.control().net();
   for (PlaceId p : net.places()) {
-    const auto& succs = net.post(p);
+    const std::vector<TransitionId> succs = net.consumers(p);
     if (succs.size() < 2) continue;
     for (std::size_t i = 0; i < succs.size(); ++i) {
       for (std::size_t j = i + 1; j < succs.size(); ++j) {

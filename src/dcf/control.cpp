@@ -43,6 +43,19 @@ void ControlNet::guard(petri::TransitionId transition, PortId port) {
   }
 }
 
+void ControlNet::remap_guards(const std::vector<PortId>& port_map) {
+  for (std::vector<PortId>& ports : guards_) {
+    std::vector<PortId> mapped;
+    for (PortId g : ports) {
+      const PortId to = port_map[g.index()];
+      if (std::find(mapped.begin(), mapped.end(), to) == mapped.end()) {
+        mapped.push_back(to);
+      }
+    }
+    ports = std::move(mapped);
+  }
+}
+
 const std::vector<ArcId>& ControlNet::controlled_arcs(
     petri::PlaceId state) const {
   return control_[state.index()];

@@ -29,6 +29,9 @@ class ControlNet {
   void control(petri::PlaceId state, ArcId arc);
   /// Registers transition ∈ G(port); `port` must be an output port.
   void guard(petri::TransitionId transition, PortId port);
+  /// Moves every guard port g to port_map[g]; ports that land on one
+  /// port keep their first occurrence, as guard() would.
+  void remap_guards(const std::vector<PortId>& port_map);
 
   /// C(S): arcs controlled by the state.
   [[nodiscard]] const std::vector<ArcId>& controlled_arcs(

@@ -60,6 +60,40 @@ ArcId DataPath::add_arc(PortId from_output, PortId to_input) {
   return id;
 }
 
+DataPath DataPath::fold(const std::vector<VertexId>& representative,
+                        std::vector<PortId>& port_map) const {
+  DataPath folded;
+  port_map.assign(port_count(), PortId::invalid());
+  for (VertexId v : vertices()) {
+    if (representative[v.index()] != v) continue;
+    const VertexId nv = folded.add_vertex(name(v), kind(v));
+    for (PortId in : input_ports(v)) {
+      port_map[in.index()] = folded.add_input_port(nv, name(in));
+    }
+    for (PortId out : output_ports(v)) {
+      port_map[out.index()] =
+          folded.add_output_port(nv, operation(out), name(out));
+    }
+  }
+  for (VertexId v : vertices()) {
+    const VertexId rep = representative[v.index()];
+    if (rep == v) continue;
+    for (std::size_t k = 0; k < input_ports(v).size(); ++k) {
+      port_map[input_ports(v)[k].index()] =
+          port_map[input_ports(rep)[k].index()];
+    }
+    for (std::size_t k = 0; k < output_ports(v).size(); ++k) {
+      port_map[output_ports(v)[k].index()] =
+          port_map[output_ports(rep)[k].index()];
+    }
+  }
+  for (ArcId a : arcs()) {
+    folded.add_arc(port_map[arc_source(a).index()],
+                   port_map[arc_target(a).index()]);
+  }
+  return folded;
+}
+
 VertexId DataPath::add_input(std::string name) {
   const VertexId v = add_vertex(std::move(name), VertexKind::kInput);
   add_output_port(v, Operation{OpCode::kInput, 0});

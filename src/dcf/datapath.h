@@ -45,6 +45,15 @@ class DataPath {
   /// Connects an output port to an input port (may belong to one vertex).
   ArcId add_arc(PortId from_output, PortId to_input);
 
+  /// This data path with each vertex v folded onto representative[v] (v
+  /// itself when it stays; a representative stays): the kept vertices
+  /// and their ports are re-added in id order, a folded vertex's k-th
+  /// input and output ports become its representative's k-th ones, and
+  /// the arcs are re-added in id order, so every arc id survives. Fills
+  /// `port_map` with the old-to-new port map.
+  [[nodiscard]] DataPath fold(const std::vector<VertexId>& representative,
+                              std::vector<PortId>& port_map) const;
+
   // Convenience factories for the common unit shapes.
   /// Environment source: kInput vertex with one kInput-op output port.
   VertexId add_input(std::string name);

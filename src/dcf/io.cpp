@@ -1,6 +1,5 @@
 #include "dcf/io.h"
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -70,16 +69,10 @@ std::string save_system(const System& system) {
     os << '\n';
   };
   for (petri::TransitionId t : net.transitions()) {
-    std::vector<petri::PlaceId> seen;
-    for (petri::PlaceId s : net.pre(t)) {
-      if (std::find(seen.begin(), seen.end(), s) != seen.end()) continue;
-      seen.push_back(s);
+    for (petri::PlaceId s : petri::distinct(net.pre(t))) {
       emit_flow("st", s.value(), t.value(), net.arc_weight(s, t));
     }
-    seen.clear();
-    for (petri::PlaceId s : net.post(t)) {
-      if (std::find(seen.begin(), seen.end(), s) != seen.end()) continue;
-      seen.push_back(s);
+    for (petri::PlaceId s : petri::distinct(net.post(t))) {
       emit_flow("ts", t.value(), s.value(), net.arc_weight(t, s));
     }
   }

@@ -78,4 +78,13 @@ void System::validate() const {
   }
 }
 
+System System::with_datapath(DataPath datapath,
+                            const std::vector<PortId>& port_map) const {
+  ControlNet control = control_;
+  control.remap_guards(port_map);
+  System result(std::move(datapath), std::move(control), name_);
+  result.validate();
+  return result;
+}
+
 }  // namespace camad::dcf

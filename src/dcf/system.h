@@ -51,6 +51,13 @@ class System {
   /// real output ports, and the data path itself validates. Throws.
   void validate() const;
 
+  /// The control-invariant rebuild (Def 4.6, Thm 4.2): this system's
+  /// control net — S, T, F with its weights, C and M0 — over `datapath`,
+  /// each guard port g re-anchored to port_map[g]. `datapath` must keep
+  /// every arc id, so C stays valid. The result is validated.
+  [[nodiscard]] System with_datapath(DataPath datapath,
+                                     const std::vector<PortId>& port_map) const;
+
  private:
   std::string name_ = "system";
   DataPath datapath_;

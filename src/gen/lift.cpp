@@ -1,6 +1,5 @@
 #include "gen/lift.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "dcf/builder.h"
@@ -43,18 +42,11 @@ dcf::System lift_control_net(const petri::Net& control,
 
   // Flow arcs: one connect per distinct (source, target) pair carrying
   // the multiset weight.
-  std::vector<PlaceId> seen;
   for (TransitionId t : control.transitions()) {
-    seen.clear();
-    for (PlaceId p : control.pre(t)) {
-      if (std::find(seen.begin(), seen.end(), p) != seen.end()) continue;
-      seen.push_back(p);
+    for (PlaceId p : petri::distinct(control.pre(t))) {
       b.controlnet().net().connect(p, t, control.arc_weight(p, t));
     }
-    seen.clear();
-    for (PlaceId p : control.post(t)) {
-      if (std::find(seen.begin(), seen.end(), p) != seen.end()) continue;
-      seen.push_back(p);
+    for (PlaceId p : petri::distinct(control.post(t))) {
       b.controlnet().net().connect(t, p, control.arc_weight(t, p));
     }
   }

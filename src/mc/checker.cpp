@@ -149,13 +149,8 @@ struct Search {
     }
     competitors.resize(net.place_count());
     for (PlaceId p : net.places()) {
-      for (TransitionId t : net.post(p)) {
-        auto& comp = competitors[p.index()];
-        // Weighted arcs list the same consumer once per token; competitor
-        // sets care only about identity.
-        if (std::find(comp.begin(), comp.end(), t.value()) == comp.end()) {
-          comp.push_back(t.value());
-        }
+      for (TransitionId t : net.consumers(p)) {
+        competitors[p.index()].push_back(t.value());
       }
     }
     worker_state.resize(workers);

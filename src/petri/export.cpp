@@ -1,6 +1,5 @@
 #include "petri/export.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace camad::petri {
@@ -51,7 +50,6 @@ std::string to_pnml(const Net& net, std::string_view net_id) {
   // (source, target) pair to one <arc> carrying an <inscription> so the
   // output is a well-formed P/T net (the importer accepts both spellings).
   std::size_t arc = 0;
-  std::vector<PlaceId> seen;
   const auto emit_arc = [&](const std::string& source,
                             const std::string& target, std::uint32_t weight) {
     os << "      <arc id=\"a" << arc++ << "\" source=\"" << source
@@ -65,16 +63,10 @@ std::string to_pnml(const Net& net, std::string_view net_id) {
   };
   for (TransitionId t : net.transitions()) {
     const std::string tn = "t" + std::to_string(t.value());
-    seen.clear();
-    for (PlaceId p : net.pre(t)) {
-      if (std::find(seen.begin(), seen.end(), p) != seen.end()) continue;
-      seen.push_back(p);
+    for (PlaceId p : distinct(net.pre(t))) {
       emit_arc("p" + std::to_string(p.value()), tn, net.arc_weight(p, t));
     }
-    seen.clear();
-    for (PlaceId p : net.post(t)) {
-      if (std::find(seen.begin(), seen.end(), p) != seen.end()) continue;
-      seen.push_back(p);
+    for (PlaceId p : distinct(net.post(t))) {
       emit_arc(tn, "p" + std::to_string(p.value()), net.arc_weight(t, p));
     }
   }

@@ -72,6 +72,10 @@ void Net::set_initial_tokens(PlaceId place, std::uint32_t tokens) {
   places_[place.index()].initial_tokens = tokens;
 }
 
+std::vector<TransitionId> Net::consumers(PlaceId p) const {
+  return distinct(places_[p.index()].post);
+}
+
 std::vector<PlaceId> Net::places() const {
   std::vector<PlaceId> out;
   out.reserve(places_.size());

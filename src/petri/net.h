@@ -5,6 +5,7 @@
 // execution and the data-path coupling live in dcf::ControlNet.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,9 @@ class Net {
   [[nodiscard]] const std::vector<TransitionId>& pre(PlaceId p) const {
     return places_[p.index()].pre;
   }
+  /// Transitions consuming from a place, each once: the competitors of
+  /// Def 3.2 rule 3 (post(p) repeats a weighted arc's consumer).
+  [[nodiscard]] std::vector<TransitionId> consumers(PlaceId p) const;
 
   [[nodiscard]] std::uint32_t initial_tokens(PlaceId p) const {
     return places_[p.index()].initial_tokens;
@@ -100,5 +104,17 @@ class Net {
   std::vector<Transition> transitions_;
   bool ordinary_ = true;
 };
+
+/// The far ends of a pre or post list, each once, in first-occurrence
+/// order: the list repeats a weight-w arc's end w times. Pair each with
+/// Net::arc_weight to copy an arc.
+template <typename Id>
+[[nodiscard]] std::vector<Id> distinct(const std::vector<Id>& ends) {
+  std::vector<Id> out;
+  for (const Id id : ends) {
+    if (std::find(out.begin(), out.end(), id) == out.end()) out.push_back(id);
+  }
+  return out;
+}
 
 }  // namespace camad::petri

@@ -118,11 +118,10 @@ ConfigPlan compile_plan(const dcf::System& system, const dcf::PortGraph& graph,
   // places with >= 2 successors, restricted to enabled successors. Fewer
   // than two enabled successors can never conflict.
   for (PlaceId p : plan.marked) {
-    const auto& succs = net.post(p);
-    if (succs.size() < 2) continue;
+    if (net.post(p).size() < 2) continue;
     ConflictCheck check;
     check.place = p;
-    for (TransitionId t : succs) {
+    for (TransitionId t : net.consumers(p)) {
       if (plan.candidate_mask.test(t.index())) check.candidates.push_back(t);
     }
     if (check.candidates.size() >= 2) {

@@ -247,10 +247,9 @@ SimResult simulate_reference(const dcf::System& system, Environment& env,
 
     // Guard-conflict monitor (Def 3.2 rule 3, dynamic side).
     for (PlaceId p : marked) {
-      const auto& succs = net.post(p);
-      if (succs.size() < 2) continue;
+      if (net.post(p).size() < 2) continue;
       int fireable = 0;
-      for (TransitionId t : succs) {
+      for (TransitionId t : net.consumers(p)) {
         if (petri::is_enabled(net, marking, t) && guard_true(t)) ++fireable;
       }
       if (fireable > 1) {

@@ -35,7 +35,7 @@ std::map<OpCode, std::size_t> demand_of(const dcf::System& system,
 
 ScheduleAnalysis analyze_schedules(const dcf::System& system,
                                    const ScheduleOptions& options) {
-  const semantics::DependenceRelation dep(system, options.dependence);
+  const semantics::DependenceRelation dep(system);
   ScheduleAnalysis analysis;
 
   for (const transform::LinearSegment& segment :
@@ -45,24 +45,16 @@ ScheduleAnalysis analyze_schedules(const dcf::System& system,
     sched.states = segment.states;
     sched.serial_length = m;
 
-    // Dependence DAG over segment-local indices.
+    // Ordering DAG over segment-local indices.
     std::vector<std::vector<std::size_t>> preds(m);
     std::vector<std::vector<std::size_t>> succs(m);
-    std::vector<DynamicBitset> associated;
-    if (options.respect_resource_conflicts) {
-      associated = transform::association_sets(system, segment.states);
-    }
+    const std::vector<DynamicBitset> edge =
+        transform::ordering_edges(system, dep, segment.states);
     for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = i + 1; j < m; ++j) {
-        const bool edge =
-            dep.direct(segment.states[i], segment.states[j]) ||
-            (options.respect_resource_conflicts &&
-             associated[i].intersects(associated[j]));
-        if (edge) {
-          preds[j].push_back(i);
-          succs[i].push_back(j);
-        }
-      }
+      edge[i].for_each([&](std::size_t j) {
+        preds[j].push_back(i);
+        succs[i].push_back(j);
+      });
     }
 
     // ASAP (indices are topologically ordered).

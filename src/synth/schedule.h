@@ -1,6 +1,10 @@
 // Scheduling bound analysis: ASAP / ALAP / resource-constrained list
 // scheduling over the dependence DAG of each linear control segment.
 //
+// Each segment (transform::find_linear_segments) is ordered by the rule
+// parallelize realizes, transform::ordering_edges: Def 4.3 dependence
+// plus Def 3.2 rule-1 overlap.
+//
 // These are *analyses*, not transformations: they predict the schedule
 // length the transformation engine can reach —
 //   * ASAP depth       = lower bound with unlimited hardware (what
@@ -19,7 +23,6 @@
 #include <vector>
 
 #include "dcf/system.h"
-#include "semantics/dependence.h"
 #include "transform/parallelize.h"
 
 namespace camad::synth {
@@ -49,9 +52,6 @@ struct ScheduleAnalysis {
 };
 
 struct ScheduleOptions {
-  semantics::DependenceOptions dependence;
-  /// Order states whose association sets overlap, as parallelize does.
-  bool respect_resource_conflicts = true;
   ResourceBudget budget;  ///< empty = unlimited
 };
 

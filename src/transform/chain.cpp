@@ -15,26 +15,6 @@ using dcf::ArcId;
 using petri::PlaceId;
 using petri::TransitionId;
 
-/// The unique unguarded 1-in/1-out transition from s1, if any.
-std::optional<std::pair<TransitionId, PlaceId>> linear_successor(
-    const dcf::System& system, PlaceId s1) {
-  const petri::Net& net = system.control().net();
-  if (net.post(s1).size() != 1) return std::nullopt;
-  const TransitionId t = net.post(s1).front();
-  if (!system.control().guards(t).empty()) return std::nullopt;
-  if (net.pre(t).size() != 1 || net.post(t).size() != 1) return std::nullopt;
-  const PlaceId s2 = net.post(t).front();
-  if (s2 == s1) return std::nullopt;
-  if (net.pre(s2).size() != 1) return std::nullopt;
-  if (net.initial_tokens(s2) > 0) return std::nullopt;
-  return std::make_pair(t, s2);
-}
-
-bool association_disjoint(const dcf::System& system, PlaceId a, PlaceId b) {
-  const std::vector<DynamicBitset> sets = association_sets(system, {a, b});
-  return !sets[0].intersects(sets[1]);
-}
-
 /// Merges s2 into s1 (dropping the linking transition) and returns the
 /// rebuilt system.
 dcf::System merge_states(const dcf::System& system, PlaceId s1,
@@ -59,11 +39,13 @@ dcf::System merge_states(const dcf::System& system, PlaceId s1,
   }
   for (TransitionId t : net.transitions()) {
     if (t == link) continue;
-    for (PlaceId p : net.pre(t)) {
-      rebuilt.net().connect(place_map[p.index()], trans_map[t.index()]);
+    for (PlaceId p : petri::distinct(net.pre(t))) {
+      rebuilt.net().connect(place_map[p.index()], trans_map[t.index()],
+                            net.arc_weight(p, t));
     }
-    for (PlaceId p : net.post(t)) {
-      rebuilt.net().connect(trans_map[t.index()], place_map[p.index()]);
+    for (PlaceId p : petri::distinct(net.post(t))) {
+      rebuilt.net().connect(trans_map[t.index()], place_map[p.index()],
+                            net.arc_weight(t, p));
     }
     for (dcf::PortId g : system.control().guards(t)) {
       rebuilt.guard(trans_map[t.index()], g);
@@ -82,15 +64,14 @@ dcf::System merge_states(const dcf::System& system, PlaceId s1,
 
 }  // namespace
 
-dcf::System chain_states(const dcf::System& system,
-                         const ChainOptions& options, ChainStats* stats) {
+dcf::System chain_states(const dcf::System& system, ChainStats* stats) {
   const semantics::AnalysisCache cache(system);
-  return chain_states(system, cache, options, stats);
+  return chain_states(system, cache, stats);
 }
 
 dcf::System chain_states(const dcf::System& system,
                          const semantics::AnalysisCache& cache,
-                         const ChainOptions& options, ChainStats* stats) {
+                         ChainStats* stats) {
   if (!(cache.bound_to(system))) {
     throw Error("chain_states: analysis cache bound to a different system");
   }
@@ -99,8 +80,7 @@ dcf::System chain_states(const dcf::System& system,
   dcf::System current = system;
   // The cache serves the first scan only: every accepted merge rewrites
   // the control net, invalidating everything.
-  const semantics::DependenceRelation* dep =
-      &cache.dependence(options.dependence);
+  const semantics::DependenceRelation* dep = &cache.dependence();
   std::optional<semantics::DependenceRelation> recomputed;
   bool merged = true;
   while (merged) {
@@ -109,16 +89,14 @@ dcf::System chain_states(const dcf::System& system,
       const auto link = linear_successor(current, s1);
       if (!link) continue;
       const PlaceId s2 = link->second;
-      if (dep->direct(s1, s2) || !association_disjoint(current, s1, s2)) {
-        continue;
-      }
+      if (ordering_edges(current, *dep, {s1, s2})[0].test(1)) continue;
       current = merge_states(current, s1, link->first, s2);
       ++local.states_merged;
       merged = true;
       break;  // ids changed; rescan
     }
     if (merged) {
-      recomputed.emplace(current, options.dependence);
+      recomputed.emplace(current);
       dep = &*recomputed;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -29,10 +30,13 @@ std::optional<Elision> find_elidable(const dcf::System& system) {
     // guard would otherwise be evaluated a cycle earlier after fusion).
     if (net.pre(t2).size() != 1) continue;
     if (!system.control().guards(t2).empty()) continue;
-    // A producer equal to the consumer would be a self-loop.
-    bool self_loop = false;
-    for (TransitionId t1 : net.pre(p)) self_loop |= (t1 == t2);
-    if (self_loop) continue;
+    // A producer equal to the consumer would be a self-loop, and one that
+    // puts w > 1 tokens on p would fire t2 w times, not once.
+    bool fusable = true;
+    for (TransitionId t1 : net.pre(p)) {
+      fusable &= t1 != t2 && net.arc_weight(t1, p) == 1;
+    }
+    if (!fusable) continue;
     return Elision{p, t2};
   }
   return std::nullopt;
@@ -56,27 +60,29 @@ dcf::System apply(const dcf::System& system, const Elision& elision) {
   for (TransitionId t : net.transitions()) {
     if (t == elision.after) continue;
     const TransitionId nt = rebuilt.add_transition(net.name(t));
-    for (PlaceId p : net.pre(t)) {
-      rebuilt.net().connect(place_map[p.index()], nt);
+    for (PlaceId p : petri::distinct(net.pre(t))) {
+      rebuilt.net().connect(place_map[p.index()], nt, net.arc_weight(p, t));
     }
-    // Post-set; producers of the elided place inherit `after`'s posts.
-    std::vector<PlaceId> posts;
-    bool fed_elided = false;
-    for (PlaceId p : net.post(t)) {
-      if (p == elision.place) {
-        fed_elided = true;
+    // Post-set, arc weights kept; producers of the elided place inherit
+    // `after`'s posts.
+    std::vector<std::pair<PlaceId, std::uint32_t>> posts;
+    for (PlaceId p : petri::distinct(net.post(t))) {
+      if (p != elision.place) {
+        posts.emplace_back(place_map[p.index()], net.arc_weight(t, p));
         continue;
       }
-      posts.push_back(place_map[p.index()]);
-    }
-    if (fed_elided) {
-      for (PlaceId p : net.post(elision.after)) {
-        posts.push_back(place_map[p.index()]);
+      for (PlaceId q : petri::distinct(net.post(elision.after))) {
+        posts.emplace_back(place_map[q.index()],
+                           net.arc_weight(elision.after, q));
       }
     }
     std::sort(posts.begin(), posts.end());
-    posts.erase(std::unique(posts.begin(), posts.end()), posts.end());
-    for (PlaceId p : posts) rebuilt.net().connect(nt, p);
+    posts.erase(std::unique(posts.begin(), posts.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }),
+                posts.end());
+    for (const auto& [p, weight] : posts) rebuilt.net().connect(nt, p, weight);
     for (dcf::PortId g : system.control().guards(t)) rebuilt.guard(nt, g);
   }
 

@@ -9,7 +9,9 @@
 // The elision never touches states with controlled arcs, never removes
 // guards (the fused transition inherits both guard sets — only legal
 // when at most one side is guarded), and preserves external events
-// (control-only states observe nothing).
+// (control-only states observe nothing). It keeps a place that a
+// weighted arc fills with several tokens at once, and copies every other
+// arc's weight.
 #pragma once
 
 #include <cstddef>

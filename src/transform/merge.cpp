@@ -169,66 +169,12 @@ dcf::System merge_vertices(const dcf::System& system, VertexId vi,
   if (!check.legal) {
     throw TransformError("merge_vertices: " + check.why);
   }
-  const dcf::DataPath& dp = system.datapath();
-
-  dcf::DataPath merged;
-  std::vector<PortId> port_map(dp.port_count(), PortId::invalid());
-
-  // Rebuild vertices (skipping vi) with ports grouped per vertex; record
-  // the old-port -> new-port map.
-  for (VertexId v : dp.vertices()) {
-    if (v == vi) continue;
-    const VertexId nv = merged.add_vertex(dp.name(v), dp.kind(v));
-    for (PortId in : dp.input_ports(v)) {
-      port_map[in.index()] = merged.add_input_port(nv, dp.name(in));
-    }
-    for (PortId out : dp.output_ports(v)) {
-      port_map[out.index()] =
-          merged.add_output_port(nv, dp.operation(out), dp.name(out));
-    }
-  }
-  // vi's ports alias vj's (same index within the port lists).
-  for (std::size_t k = 0; k < dp.input_ports(vi).size(); ++k) {
-    port_map[dp.input_ports(vi)[k].index()] =
-        port_map[dp.input_ports(vj)[k].index()];
-  }
-  for (std::size_t k = 0; k < dp.output_ports(vi).size(); ++k) {
-    port_map[dp.output_ports(vi)[k].index()] =
-        port_map[dp.output_ports(vj)[k].index()];
-  }
-
-  // Arcs in id order: identity of arcs is what keeps C(S) valid.
-  for (ArcId a : dp.arcs()) {
-    merged.add_arc(port_map[dp.arc_source(a).index()],
-                   port_map[dp.arc_target(a).index()]);
-  }
-
-  // Control structure is untouched except guard ports are re-anchored.
-  dcf::ControlNet control;
-  const petri::Net& net = system.control().net();
-  for (PlaceId p : net.places()) {
-    const PlaceId np = control.add_state(net.name(p));
-    control.net().set_initial_tokens(np, net.initial_tokens(p));
-  }
-  for (petri::TransitionId t : net.transitions()) {
-    control.add_transition(net.name(t));
-  }
-  for (petri::TransitionId t : net.transitions()) {
-    for (PlaceId p : net.pre(t)) control.net().connect(p, t);
-    for (PlaceId p : net.post(t)) control.net().connect(t, p);
-  }
-  for (PlaceId p : net.places()) {
-    for (ArcId a : system.control().controlled_arcs(p)) control.control(p, a);
-  }
-  for (petri::TransitionId t : net.transitions()) {
-    for (PortId g : system.control().guards(t)) {
-      control.guard(t, port_map[g.index()]);
-    }
-  }
-
-  dcf::System result(std::move(merged), std::move(control), system.name());
-  result.validate();
-  return result;
+  // A one-pair collapse: vi folds onto vj; the control net is untouched.
+  std::vector<VertexId> representative = system.datapath().vertices();
+  representative[vi.index()] = vj;
+  std::vector<PortId> port_map;
+  dcf::DataPath merged = system.datapath().fold(representative, port_map);
+  return system.with_datapath(std::move(merged), port_map);
 }
 
 std::vector<std::pair<VertexId, VertexId>> mergeable_pairs(

@@ -5,7 +5,11 @@
 // definition and port structure and their associated control states are
 // pairwise in sequential order (they never compete for the unit). The
 // result keeps the control structure untouched; arcs are re-anchored to
-// V_j's ports *preserving arc identity*, so every C(S) stays valid.
+// V_j's ports *preserving arc identity*, so every C(S) stays valid. The
+// merger is a one-pair vertex collapse (dcf::DataPath::fold, shared with
+// transform/regshare) under dcf::System::with_datapath, the one
+// control-invariant rebuild, which copies the control net — weighted
+// arcs included — and re-anchors only the guard ports.
 //
 // Beyond the paper: merging *sequential* vertices (registers) is rejected
 // here — two registers hold distinct state, and Def 4.6's proof silently
@@ -28,7 +32,7 @@ struct MergeCheck {
 };
 
 /// Analyses of the input that stay valid for the merged system: the
-/// merger rebuilds the control net verbatim, so every Petri-net analysis
+/// merger copies the control net by value, so every Petri-net analysis
 /// (reachability, concurrency, structural order) carries over. The
 /// dependence relation does *not* — vertex ids are renumbered and the
 /// merged COM's output supports are unions of the originals', which can

@@ -1,7 +1,5 @@
 #include "transform/parallelize.h"
 
-#include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "obs/trace.h"
@@ -17,26 +15,13 @@ using petri::TransitionId;
 
 using Segment = LinearSegment;
 
-/// q follows p via a plain 1-in/1-out unguarded transition that is p's
-/// only consumer and q's only producer.
-std::optional<TransitionId> linear_link(const dcf::System& system, PlaceId p,
-                                        PlaceId q) {
-  const petri::Net& net = system.control().net();
-  if (net.post(p).size() != 1) return std::nullopt;
-  const TransitionId t = net.post(p).front();
-  if (!system.control().guards(t).empty()) return std::nullopt;
-  if (net.pre(t).size() != 1 || net.post(t).size() != 1) return std::nullopt;
-  if (net.post(t).front() != q) return std::nullopt;
-  if (net.pre(q).size() != 1) return std::nullopt;
-  return t;
-}
+}  // namespace
 
-std::vector<Segment> find_segments(const dcf::System& system,
-                                   std::size_t min_segment) {
+std::vector<LinearSegment> find_linear_segments(const dcf::System& system) {
   const petri::Net& net = system.control().net();
   const std::size_t n = net.place_count();
 
-  // successor[p] = q when linear_link(p, q) holds and q is not initial.
+  // successor[p] = q when linear_successor(p) links p to q.
   std::vector<PlaceId> successor(n, PlaceId::invalid());
   std::vector<TransitionId> via(n, TransitionId::invalid());
   std::vector<bool> has_pred(n, false);
@@ -45,16 +30,10 @@ std::vector<Segment> find_segments(const dcf::System& system,
     // (Def 4.5), and a token initially on one segment state would strand
     // the other fork roots.
     if (net.initial_tokens(p) > 0) continue;
-    if (net.post(p).size() != 1) continue;
-    const TransitionId t = net.post(p).front();
-    if (net.post(t).size() != 1) continue;
-    const PlaceId q = net.post(t).front();
-    if (q == p) continue;  // self-loop is not a chain
-    if (net.initial_tokens(q) > 0) continue;
-    if (const auto link = linear_link(system, p, q)) {
-      successor[p.index()] = q;
-      via[p.index()] = *link;
-      has_pred[q.index()] = true;
+    if (const auto link = linear_successor(system, p)) {
+      successor[p.index()] = link->second;
+      via[p.index()] = link->first;
+      has_pred[link->second.index()] = true;
     }
   }
 
@@ -77,14 +56,10 @@ std::vector<Segment> find_segments(const dcf::System& system,
         seg.interior.size() == seg.states.size()) {
       seg.interior.pop_back();  // ran into a used place (cycle guard)
     }
-    if (seg.states.size() >= std::max<std::size_t>(min_segment, 2)) {
-      segments.push_back(std::move(seg));
-    }
+    if (seg.states.size() >= 2) segments.push_back(std::move(seg));
   }
   return segments;
 }
-
-}  // namespace
 
 dcf::System parallelize(const dcf::System& system,
                         const ParallelizeOptions& options,
@@ -106,7 +81,7 @@ dcf::System parallelize(const dcf::System& system,
       cache.dependence(options.dependence);
 
   ParallelizeStats local_stats;
-  std::vector<Segment> segments = find_segments(system, options.min_segment);
+  std::vector<Segment> segments = find_linear_segments(system);
   local_stats.segments_found = segments.size();
 
   // Per-segment plan: dependence DAG (transitively reduced) over local
@@ -120,26 +95,8 @@ dcf::System parallelize(const dcf::System& system,
 
   for (Segment& seg : segments) {
     const std::size_t m = seg.states.size();
-    std::vector<DynamicBitset> edge(m, DynamicBitset(m));
-    auto dependent = [&](PlaceId a, PlaceId b) {
-      return options.strict_transitive ? dep.transitive(a, b)
-                                       : dep.direct(a, b);
-    };
-    // Def 3.2 rule 1: states whose association sets overlap must stay
-    // ordered.
-    std::vector<DynamicBitset> associated;
-    if (options.respect_resource_conflicts) {
-      associated = association_sets(system, seg.states);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = i + 1; j < m; ++j) {
-        if (dependent(seg.states[i], seg.states[j]) ||
-            (options.respect_resource_conflicts &&
-             associated[i].intersects(associated[j]))) {
-          edge[i].set(j);
-        }
-      }
-    }
+    std::vector<DynamicBitset> edge =
+        ordering_edges(system, dep, seg.states, options.strict_transitive);
     // If any exit transition (consumer of S_m) is guarded, its guard may
     // read combinatorial ports whose arcs are only active while S_m is
     // marked — S_m must then stay the unique sink so the exit's pre set
@@ -231,24 +188,27 @@ dcf::System parallelize(const dcf::System& system,
     }
   }
 
-  // Retained transitions (same names; guards copied; posts substituted).
+  // Retained transitions (same names; guards copied; posts substituted;
+  // each substitute takes over the weight of the arc it replaces).
   for (TransitionId t : net.transitions()) {
     if (drop_transition[t.index()]) continue;
     const TransitionId nt = rebuilt.add_transition(net.name(t));
-    for (PlaceId p : net.pre(t)) {
+    for (PlaceId p : petri::distinct(net.pre(t))) {
+      const std::uint32_t weight = net.arc_weight(p, t);
       const auto& subst = pre_subst[p.index()];
       if (subst.empty()) {
-        rebuilt.net().connect(p, nt);
+        rebuilt.net().connect(p, nt, weight);
       } else {
-        for (PlaceId sink : subst) rebuilt.net().connect(sink, nt);
+        for (PlaceId sink : subst) rebuilt.net().connect(sink, nt, weight);
       }
     }
-    for (PlaceId p : net.post(t)) {
+    for (PlaceId p : petri::distinct(net.post(t))) {
+      const std::uint32_t weight = net.arc_weight(t, p);
       const auto& subst = post_subst[p.index()];
       if (subst.empty()) {
-        rebuilt.net().connect(nt, p);
+        rebuilt.net().connect(nt, p, weight);
       } else {
-        for (PlaceId root : subst) rebuilt.net().connect(nt, root);
+        for (PlaceId root : subst) rebuilt.net().connect(nt, root, weight);
       }
     }
     for (dcf::PortId g : system.control().guards(t)) rebuilt.guard(nt, g);
@@ -324,9 +284,18 @@ dcf::System parallelize(const dcf::System& system,
   return result;
 }
 
-std::vector<LinearSegment> find_linear_segments(const dcf::System& system,
-                                                std::size_t min_states) {
-  return find_segments(system, min_states);
+std::optional<std::pair<TransitionId, PlaceId>> linear_successor(
+    const dcf::System& system, PlaceId p) {
+  const petri::Net& net = system.control().net();
+  if (net.post(p).size() != 1) return std::nullopt;
+  const TransitionId t = net.post(p).front();
+  if (!system.control().guards(t).empty()) return std::nullopt;
+  if (net.pre(t).size() != 1 || net.post(t).size() != 1) return std::nullopt;
+  const PlaceId q = net.post(t).front();
+  if (q == p) return std::nullopt;  // a self-loop is not a chain
+  if (net.pre(q).size() != 1) return std::nullopt;
+  if (net.initial_tokens(q) > 0) return std::nullopt;
+  return std::make_pair(t, q);
 }
 
 std::vector<DynamicBitset> association_sets(
@@ -340,6 +309,26 @@ std::vector<DynamicBitset> association_sets(
     }
   }
   return sets;
+}
+
+std::vector<DynamicBitset> ordering_edges(
+    const dcf::System& system, const semantics::DependenceRelation& dep,
+    const std::vector<PlaceId>& states, bool strict_transitive) {
+  const std::size_t m = states.size();
+  const std::vector<DynamicBitset> associated =
+      association_sets(system, states);
+  std::vector<DynamicBitset> edge(m, DynamicBitset(m));
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      const bool dependent = strict_transitive
+                                 ? dep.transitive(states[i], states[j])
+                                 : dep.direct(states[i], states[j]);
+      if (dependent || associated[i].intersects(associated[j])) {
+        edge[i].set(j);
+      }
+    }
+  }
+  return edge;
 }
 
 }  // namespace camad::transform

@@ -5,10 +5,11 @@
 //
 // The transformation finds *linear segments* of the control net — maximal
 // runs S_1 → t → S_2 → ... → S_m of non-initial states linked by
-// unguarded 1-in/1-out transitions — computes the dependence DAG over
-// each segment (data dependence per Def 4.3 plus resource conflicts, so
-// the result stays properly designed per Def 3.2 rule 1), and replaces
-// the run by a fork/join realization of the DAG's transitive reduction:
+// unguarded 1-in/1-out transitions (linear_successor) — orders each
+// segment by one rule (ordering_edges: data dependence per Def 4.3 plus
+// resource conflicts, so the result stays properly designed per Def 3.2
+// rule 1), and replaces the run by a fork/join realization of the
+// ordering DAG's transitive reduction:
 //
 //   * every transition that fed S_1 now feeds all DAG roots (fork);
 //   * S_m is constrained to stay the unique sink, so the segment's exit
@@ -19,10 +20,17 @@
 //
 // Data-invariance by construction: dependent pairs keep their ⇒ order
 // (every dependence edge is realized as a directed path), and only
-// independent, conflict-free pairs lose it.
+// independent, conflict-free pairs lose it. Weighted flow arcs (imported
+// P/T nets) keep their weights through the rebuild.
+//
+// The same link and the same ordering rule serve chain_states, which
+// fuses two linked states exactly when no ordering edge joins them, and
+// synth::analyze_schedules, which bounds the schedule of each segment.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <utility>
 
 #include "dcf/system.h"
 #include "semantics/analysis.h"
@@ -36,11 +44,6 @@ struct ParallelizeOptions {
   /// Use the literal Def 4.4 closure ◇ (freezes whole components; ablation
   /// knob for E1).
   bool strict_transitive = false;
-  /// Also order states whose association sets overlap (Def 3.2 rule 1);
-  /// disable only to demonstrate the resulting design-rule violations.
-  bool respect_resource_conflicts = true;
-  /// Minimum segment length worth transforming.
-  std::size_t min_segment = 2;
 };
 
 struct ParallelizeStats {
@@ -66,6 +69,12 @@ dcf::System parallelize(const dcf::System& system,
                         const ParallelizeOptions& options = {},
                         ParallelizeStats* stats = nullptr);
 
+/// The link a linear segment runs along and chaining fuses: p's only
+/// consumer t is unguarded with one input and one output place q ≠ p,
+/// t is q's only producer, and q holds no initial token. Returns (t, q).
+std::optional<std::pair<petri::TransitionId, petri::PlaceId>>
+linear_successor(const dcf::System& system, petri::PlaceId p);
+
 /// A maximal linear run of non-initial states linked by unguarded
 /// 1-in/1-out transitions — the unit the transformation (and the
 /// synth::schedule bound analysis) operates on.
@@ -74,9 +83,8 @@ struct LinearSegment {
   std::vector<petri::TransitionId> interior;  ///< |states| - 1 transitions
 };
 
-/// All maximal linear segments with at least `min_states` states.
-std::vector<LinearSegment> find_linear_segments(const dcf::System& system,
-                                                std::size_t min_states = 2);
+/// All maximal linear segments of at least two states.
+std::vector<LinearSegment> find_linear_segments(const dcf::System& system);
 
 /// Def 3.2 rule 1 over a run of states: element i holds the vertices
 /// states[i] is associated with (the targets of its controlled arcs).
@@ -85,5 +93,13 @@ std::vector<LinearSegment> find_linear_segments(const dcf::System& system,
 /// vertex.
 std::vector<DynamicBitset> association_sets(
     const dcf::System& system, const std::vector<petri::PlaceId>& states);
+
+/// Thm 4.1's ordering rule over a run of states: row i holds every j > i
+/// that states[i] must stay ahead of — a direct dependence (Def 4.3), or
+/// the Def 4.4 closure ◇ under `strict_transitive`, or overlapping
+/// association sets (Def 3.2 rule 1).
+std::vector<DynamicBitset> ordering_edges(
+    const dcf::System& system, const semantics::DependenceRelation& dep,
+    const std::vector<petri::PlaceId>& states, bool strict_transitive = false);
 
 }  // namespace camad::transform

@@ -93,7 +93,7 @@ class ChainPass final : public Pass {
   [[nodiscard]] dcf::System run(
       const dcf::System& system,
       const semantics::AnalysisCache& cache) override {
-    return chain_states(system, cache, {}, &stats_);
+    return chain_states(system, cache, &stats_);
   }
   [[nodiscard]] std::string counters() const override {
     return std::to_string(stats_.states_merged) + " state(s) chained";

@@ -349,80 +349,18 @@ dcf::System share_registers(const dcf::System& system,
     return system;  // nothing shareable
   }
 
-  // Representative (first member) per colour.
-  std::vector<VertexId> representative(coloring.color_count,
-                                       VertexId::invalid());
-  std::vector<std::size_t> color_of_vertex(dp.vertex_count(),
-                                           static_cast<std::size_t>(-1));
+  // A colour-class collapse: every register folds onto the first member
+  // of its class; the control net is untouched.
+  std::vector<VertexId> representative = dp.vertices();
+  std::vector<VertexId> first(coloring.color_count, VertexId::invalid());
   for (std::size_t r = 0; r < liveness.registers.size(); ++r) {
-    const std::size_t colour = coloring.color[r];
-    color_of_vertex[liveness.registers[r].index()] = colour;
-    if (!representative[colour].valid()) {
-      representative[colour] = liveness.registers[r];
-    }
+    VertexId& rep = first[coloring.color[r]];
+    if (!rep.valid()) rep = liveness.registers[r];
+    representative[liveness.registers[r].index()] = rep;
   }
-
-  // Rebuild the data path keeping representatives, dropping the rest.
-  dcf::DataPath shared;
-  std::vector<PortId> port_map(dp.port_count(), PortId::invalid());
-  std::vector<VertexId> vertex_map(dp.vertex_count(), VertexId::invalid());
-  for (VertexId v : dp.vertices()) {
-    const std::size_t colour = color_of_vertex[v.index()];
-    const bool dropped =
-        colour != static_cast<std::size_t>(-1) && representative[colour] != v;
-    if (dropped) continue;
-    const VertexId nv = shared.add_vertex(dp.name(v), dp.kind(v));
-    vertex_map[v.index()] = nv;
-    for (PortId in : dp.input_ports(v)) {
-      port_map[in.index()] = shared.add_input_port(nv, dp.name(in));
-    }
-    for (PortId out : dp.output_ports(v)) {
-      port_map[out.index()] =
-          shared.add_output_port(nv, dp.operation(out), dp.name(out));
-    }
-  }
-  // Dropped registers alias their representative's ports.
-  for (std::size_t r = 0; r < liveness.registers.size(); ++r) {
-    const VertexId v = liveness.registers[r];
-    const VertexId rep = representative[coloring.color[r]];
-    if (rep == v) continue;
-    port_map[dp.input_ports(v)[0].index()] =
-        port_map[dp.input_ports(rep)[0].index()];
-    port_map[dp.output_ports(v)[0].index()] =
-        port_map[dp.output_ports(rep)[0].index()];
-  }
-
-  for (ArcId a : dp.arcs()) {
-    shared.add_arc(port_map[dp.arc_source(a).index()],
-                   port_map[dp.arc_target(a).index()]);
-  }
-
-  // Control net is copied verbatim; guards re-anchored.
-  dcf::ControlNet control;
-  const petri::Net& net = system.control().net();
-  for (PlaceId p : net.places()) {
-    const PlaceId np = control.add_state(net.name(p));
-    control.net().set_initial_tokens(np, net.initial_tokens(p));
-  }
-  for (TransitionId t : net.transitions()) {
-    control.add_transition(net.name(t));
-  }
-  for (TransitionId t : net.transitions()) {
-    for (PlaceId p : net.pre(t)) control.net().connect(p, t);
-    for (PlaceId p : net.post(t)) control.net().connect(t, p);
-  }
-  for (PlaceId p : net.places()) {
-    for (ArcId a : system.control().controlled_arcs(p)) control.control(p, a);
-  }
-  for (TransitionId t : net.transitions()) {
-    for (PortId g : system.control().guards(t)) {
-      control.guard(t, port_map[g.index()]);
-    }
-  }
-
-  dcf::System result(std::move(shared), std::move(control), system.name());
-  result.validate();
-  return result;
+  std::vector<PortId> port_map;
+  dcf::DataPath shared = dp.fold(representative, port_map);
+  return system.with_datapath(std::move(shared), port_map);
 }
 
 }  // namespace camad::transform

@@ -7,7 +7,9 @@
 // analysis — classical may-liveness over the control net's state graph —
 // and shares registers by colouring the interference graph (DSATUR),
 // exactly the register-allocation step a CAMAD-era synthesis system ran
-// after scheduling.
+// after scheduling. Sharing itself is the merger's rebuild applied per
+// colour class: one vertex collapse (dcf::DataPath::fold) under
+// dcf::System::with_datapath, which copies the control net unchanged.
 //
 // Interference rules (conservative, hence sound):
 //   * r1 is written in a state where r2 is live-out            (overlap)
@@ -83,7 +85,7 @@ struct RegShareStats {
 [[nodiscard]] semantics::PreservedAnalyses regshare_preserved_analyses();
 
 /// Allocates physical registers by colouring and rebuilds the system with
-/// each colour class merged into one register. Arc identities are
+/// each colour class folded onto its first register. Arc identities are
 /// preserved (C mappings stay valid); guard ports are re-anchored.
 dcf::System share_registers(const dcf::System& system,
                             RegShareStats* stats = nullptr);

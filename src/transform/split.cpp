@@ -138,30 +138,9 @@ dcf::System split_vertex(const dcf::System& system, VertexId v,
                   moved_port(dp.arc_target(a), a));
   }
 
-  // Control net copied verbatim (arc ids preserved; v guards nothing).
-  dcf::ControlNet control;
-  const petri::Net& net = system.control().net();
-  for (PlaceId p : net.places()) {
-    const PlaceId np = control.add_state(net.name(p));
-    control.net().set_initial_tokens(np, net.initial_tokens(p));
-  }
-  for (petri::TransitionId t : net.transitions()) {
-    control.add_transition(net.name(t));
-  }
-  for (petri::TransitionId t : net.transitions()) {
-    for (PlaceId p : net.pre(t)) control.net().connect(p, t);
-    for (PlaceId p : net.post(t)) control.net().connect(t, p);
-    for (PortId g : system.control().guards(t)) {
-      control.guard(t, port_map[g.index()]);
-    }
-  }
-  for (PlaceId p : net.places()) {
-    for (ArcId a : system.control().controlled_arcs(p)) control.control(p, a);
-  }
-
-  dcf::System result(std::move(split), std::move(control), system.name());
-  result.validate();
-  return result;
+  // Arc ids are preserved and v guards nothing: the control net is
+  // untouched.
+  return system.with_datapath(std::move(split), port_map);
 }
 
 }  // namespace camad::transform

@@ -4,7 +4,9 @@
 // the unit, un-serializing them so a later parallelization can overlap
 // the users. Control-invariant in the same sense as the merger: arcs are
 // re-anchored (identities preserved), the control structure is
-// untouched, and the two units compute the same function.
+// untouched, and the two units compute the same function. The split
+// builds its own data path and hands it to dcf::System::with_datapath,
+// the merger's control-net copy.
 #pragma once
 
 #include <string>

@@ -309,8 +309,8 @@ bool oracle_resource_conflict(const dcf::System& system, PlaceId a,
 }
 
 /// Ordered state pairs where the oracle's rule-1 test and the
-/// intersection of transform::association_sets (the test parallelize,
-/// chain_states and analyze_schedules make) disagree.
+/// intersection of transform::association_sets (the rule-1 half of
+/// transform::ordering_edges) disagree.
 std::size_t rule_one_mismatches(const dcf::System& system) {
   const petri::Net& net = system.control().net();
   const std::vector<DynamicBitset> associated =

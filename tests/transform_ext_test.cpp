@@ -1,14 +1,18 @@
 // Tests for the extension transformations: state chaining and vertex
-// splitting.
+// splitting; and every pass over a control net with weighted arcs.
 #include <gtest/gtest.h>
 
+#include "dcf/builder.h"
 #include "dcf/check.h"
 #include "semantics/equivalence.h"
 #include "sim/simulator.h"
 #include "synth/compile.h"
 #include "synth/designs.h"
 #include "transform/chain.h"
+#include "transform/cleanup.h"
 #include "transform/merge.h"
+#include "transform/parallelize.h"
+#include "transform/regshare.h"
 #include "transform/split.h"
 #include "util/error.h"
 
@@ -16,6 +20,7 @@ namespace camad::transform {
 namespace {
 
 using petri::PlaceId;
+using petri::TransitionId;
 
 std::uint64_t cycles(const dcf::System& sys, std::uint64_t seed = 5) {
   sim::Environment env = sim::Environment::random_for(sys, seed, 32, 1, 20);
@@ -38,7 +43,7 @@ const char* kIndependent = R"(design ind {
 TEST(Chain, MergesIndependentAdjacentStates) {
   const dcf::System sys = synth::compile_source(kIndependent);
   ChainStats stats;
-  const dcf::System chained = chain_states(sys, {}, &stats);
+  const dcf::System chained = chain_states(sys, &stats);
   // y:=w+1 and z:=x*2 are independent and adjacent; w:=a / x:=b both
   // touch the environment (clause e) so they stay separate.
   EXPECT_GE(stats.states_merged, 1u);
@@ -62,7 +67,7 @@ TEST(Chain, RefusesDependentStates) {
     end
   })");
   ChainStats stats;
-  const dcf::System chained = chain_states(sys, {}, &stats);
+  const dcf::System chained = chain_states(sys, &stats);
   EXPECT_EQ(stats.states_merged, 0u);
   EXPECT_EQ(chained.control().net().place_count(),
             sys.control().net().place_count());
@@ -168,6 +173,151 @@ TEST(Split, RejectsStateNotUsingVertex) {
   }
   ASSERT_TRUE(non_user.valid());
   EXPECT_FALSE(can_split(sys, add, {non_user}).legal);
+}
+
+// ---- weighted flow arcs ----------------------------------------------------
+
+/// `sys` plus a side loop with weight-2 arcs, the shape of an imported P/T
+/// net: W0 (2 tokens) -2-> Tw -> W1 -> Tr -2-> W0. The loop controls no
+/// data-path arc, so each pass finds in the design what it finds without
+/// the loop, and must carry the loop's weights over.
+dcf::System with_weighted_loop(dcf::System sys) {
+  dcf::ControlNet& control = sys.control();
+  const PlaceId w0 = control.add_state("W0");
+  const PlaceId w1 = control.add_state("W1");
+  const TransitionId tw = control.add_transition("Tw");
+  const TransitionId tr = control.add_transition("Tr");
+  control.net().set_initial_tokens(w0, 2);
+  control.net().connect(w0, tw, 2);
+  control.net().connect(tw, w1);
+  control.net().connect(w1, tr);
+  control.net().connect(tr, w0, 2);
+  return sys;
+}
+
+PlaceId place_named(const petri::Net& net, const std::string& name) {
+  for (PlaceId p : net.places()) {
+    if (net.name(p) == name) return p;
+  }
+  return PlaceId::invalid();
+}
+
+TransitionId transition_named(const petri::Net& net, const std::string& name) {
+  for (TransitionId t : net.transitions()) {
+    if (net.name(t) == name) return t;
+  }
+  return TransitionId::invalid();
+}
+
+/// The side loop is still there, each arc with its weight.
+void expect_loop_kept(const dcf::System& sys) {
+  const petri::Net& net = sys.control().net();
+  const PlaceId w0 = place_named(net, "W0");
+  const PlaceId w1 = place_named(net, "W1");
+  const TransitionId tw = transition_named(net, "Tw");
+  const TransitionId tr = transition_named(net, "Tr");
+  ASSERT_TRUE(w0.valid() && w1.valid() && tw.valid() && tr.valid());
+  EXPECT_EQ(net.initial_tokens(w0), 2u);
+  EXPECT_EQ(net.arc_weight(w0, tw), 2u);
+  EXPECT_EQ(net.arc_weight(tw, w1), 1u);
+  EXPECT_EQ(net.arc_weight(w1, tr), 1u);
+  EXPECT_EQ(net.arc_weight(tr, w0), 2u);
+  EXPECT_FALSE(net.is_ordinary());
+}
+
+dcf::System weighted_independent() {
+  return with_weighted_loop(synth::compile_source(kIndependent));
+}
+
+TEST(WeightedArcs, ParallelizeKeepsWeights) {
+  const dcf::System sys = weighted_independent();
+  ParallelizeStats stats;
+  const dcf::System out = parallelize(sys, {}, &stats);
+  EXPECT_GE(stats.segments_transformed, 1u);
+  expect_loop_kept(out);
+}
+
+TEST(WeightedArcs, MergeAllKeepsWeights) {
+  const dcf::System sys = weighted_independent();
+  ASSERT_FALSE(mergeable_pairs(sys).empty());
+  std::size_t merges = 0;
+  const dcf::System out = merge_all(sys, &merges);
+  EXPECT_GE(merges, 1u);
+  EXPECT_LT(out.datapath().vertex_count(), sys.datapath().vertex_count());
+  expect_loop_kept(out);
+}
+
+TEST(WeightedArcs, ShareRegistersKeepsWeights) {
+  const dcf::System sys = weighted_independent();
+  RegShareStats stats;
+  const dcf::System out = share_registers(sys, &stats);
+  EXPECT_LT(stats.registers_after, stats.registers_before);
+  EXPECT_LT(out.datapath().vertex_count(), sys.datapath().vertex_count());
+  expect_loop_kept(out);
+}
+
+TEST(WeightedArcs, ChainKeepsWeights) {
+  const dcf::System sys = weighted_independent();
+  ChainStats stats;
+  const dcf::System out = chain_states(sys, &stats);
+  EXPECT_GE(stats.states_merged, 1u);
+  expect_loop_kept(out);
+}
+
+TEST(WeightedArcs, SplitKeepsWeights) {
+  const dcf::System merged = merge_all(weighted_independent());
+  // The first shared combinational unit, and one state using it.
+  const dcf::DataPath& dp = merged.datapath();
+  for (dcf::VertexId v : dp.vertices()) {
+    if (dp.kind(v) != dcf::VertexKind::kInternal ||
+        dp.is_sequential_vertex(v)) {
+      continue;
+    }
+    for (PlaceId p : merged.control().net().places()) {
+      if (!can_split(merged, v, {p}).legal) continue;
+      const dcf::System out = split_vertex(merged, v, {p});
+      EXPECT_EQ(out.datapath().vertex_count(), dp.vertex_count() + 1);
+      expect_loop_kept(out);
+      return;
+    }
+  }
+  FAIL() << "no splittable unit in the merged fixture";
+}
+
+TEST(WeightedArcs, CleanupFusesAcrossAWeightedArc) {
+  const dcf::System sys = weighted_independent();
+  CleanupStats stats;
+  const dcf::System out = cleanup_control(sys, &stats);
+  EXPECT_GE(stats.states_removed, 1u);
+  // W1 is control-only and passes its token straight on: Tw inherits
+  // Tr's weight-2 post, and W0 -> Tw keeps its weight.
+  const petri::Net& net = out.control().net();
+  const PlaceId w0 = place_named(net, "W0");
+  const TransitionId tw = transition_named(net, "Tw");
+  ASSERT_TRUE(w0.valid() && tw.valid());
+  EXPECT_FALSE(place_named(net, "W1").valid());
+  EXPECT_EQ(net.arc_weight(w0, tw), 2u);
+  EXPECT_EQ(net.arc_weight(tw, w0), 2u);
+}
+
+TEST(WeightedArcs, CleanupKeepsAPlaceFedTwoTokensAtOnce) {
+  // Ta puts two tokens on the control-only P, so Tb fires twice: fusing
+  // Tb into Ta would fire it once.
+  dcf::SystemBuilder b;
+  const PlaceId w0 = b.state("W0", true);
+  const PlaceId p = b.state("P");
+  const PlaceId w2 = b.state("W2");
+  const TransitionId ta = b.transition("Ta");
+  const TransitionId tb = b.transition("Tb");
+  b.flow(w0, ta);
+  b.flow(p, tb);
+  b.flow(tb, w2);
+  dcf::System sys = b.build("weighted_producer");
+  sys.control().net().connect(ta, p, 2);
+  CleanupStats stats;
+  const dcf::System out = cleanup_control(sys, &stats);
+  EXPECT_EQ(stats.states_removed, 0u);
+  EXPECT_EQ(out.control().net().arc_weight(ta, p), 2u);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 //
 //   camadc check  design.bdl [--reachable] [--strict-rule5]
 //   camadc compile design.bdl --out design.sys [--no-fold]
-//   camadc transform design.sys [--parallelize] [--merge-all]
-//                 [--regshare] [--chain] [--cleanup] --out result.sys
+//   camadc transform design.sys --passes=name,name,... [--print-pass-stats]
+//                 --out result.sys
 //   camadc synth  design.bdl [--lambda L] [--max-steps N]
 //                 [--netlist PATH] [--dot PATH] [--no-verify]
 //   camadc sim    design.bdl [--in name=v1,v2,...]... [--vcd PATH]
@@ -78,12 +78,7 @@
 #include "synth/optimizer.h"
 #include "synth/parser.h"
 #include "synth/synthesis.h"
-#include "transform/chain.h"
-#include "transform/cleanup.h"
-#include "transform/merge.h"
-#include "transform/parallelize.h"
 #include "transform/passes.h"
-#include "transform/regshare.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -171,8 +166,7 @@ constexpr const char* kUsage =
     "file [options]\n"
     "  check:     --reachable --strict-rule5\n"
     "  compile:   --out design.sys --no-fold\n"
-    "  transform: --parallelize --merge-all --regshare --chain --cleanup\n"
-    "             --passes=name,name,... --print-pass-stats\n"
+    "  transform: --passes=name,name,... --print-pass-stats\n"
     "             --out result.sys (passes run in the listed order)\n"
     "  synth:  --strategy greedy|pareto --lambda L --max-steps N "
     "--netlist PATH --dot PATH --no-verify\n"
@@ -210,10 +204,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
   const std::vector<std::string> inline_flags = {"--trace", "--witness",
                                                  "--report", "--progress"};
   const std::vector<std::string> flags = {
-      "--reachable",   "--strict-rule5",        "--no-fold",
-      "--parallelize", "--merge-all",           "--regshare",
-      "--chain",       "--cleanup",             "--print-pass-stats",
-      "--no-verify",   "--no-guards",           "--trace-deterministic"};
+      "--reachable",        "--strict-rule5", "--no-fold",
+      "--print-pass-stats", "--no-verify",    "--no-guards",
+      "--trace-deterministic"};
   const auto known = [](const std::vector<std::string>& keys,
                         const std::string& key) {
     return std::find(keys.begin(), keys.end(), key) != keys.end();
@@ -433,40 +426,6 @@ int cmd_transform(const Args& args) {
       obs::publish_pass_stats(telemetry.metrics, pipeline.stats());
       obs::publish_analysis_stats(telemetry.metrics,
                                   pipeline.cache_stats());
-    }
-  }
-  // Flag passes run in command-line order (after --passes, if both given).
-  for (const std::string& flag : args.flags) {
-    if (flag == "--print-pass-stats" || flag == "--trace" ||
-        flag == "--trace-deterministic" || flag == "--report" ||
-        flag == "--progress") {
-      continue;
-    } else if (flag == "--parallelize") {
-      transform::ParallelizeStats stats;
-      system = transform::parallelize(system, {}, &stats);
-      std::cout << "parallelize: " << stats.segments_transformed
-                << " segment(s), " << stats.helper_places << " helper(s)\n";
-    } else if (flag == "--merge-all") {
-      std::size_t merges = 0;
-      system = transform::merge_all(system, &merges);
-      std::cout << "merge-all: " << merges << " merger(s)\n";
-    } else if (flag == "--regshare") {
-      transform::RegShareStats stats;
-      system = transform::share_registers(system, &stats);
-      std::cout << "regshare: " << stats.registers_before << " -> "
-                << stats.registers_after << " registers\n";
-    } else if (flag == "--chain") {
-      transform::ChainStats stats;
-      system = transform::chain_states(system, {}, &stats);
-      std::cout << "chain: " << stats.states_merged << " state(s) merged\n";
-    } else if (flag == "--cleanup") {
-      transform::CleanupStats stats;
-      system = transform::cleanup_control(system, &stats);
-      std::cout << "cleanup: " << stats.states_removed
-                << " state(s) removed\n";
-    } else {
-      std::cerr << "unknown transform flag " << flag << "\n";
-      return 2;
     }
   }
   const dcf::CheckReport report = dcf::check_properly_designed(system);
