@@ -9,7 +9,9 @@
 
 #include "dcf/check.h"
 #include "dcf/io.h"
+#include "gen/program.h"
 #include "gen/shrink.h"
+#include "gen/sysgen.h"
 #include "mc/checker.h"
 #include "petri/export.h"
 #include "petri/pnml.h"
@@ -92,17 +94,16 @@ std::string compare_results(const sim::SimResult& ref,
 /// systems (the "check" stage runs first), so the improper-design
 /// carve-out — where divergence is tolerated — is exercised by the
 /// dedicated unit tests, not by the sweep.
-void engine_differential(const dcf::System& system, std::uint64_t seed,
-                         const OracleOptions& opt) {
+void engine_differential(const dcf::System& system, std::uint64_t seed) {
   const obs::ObsSpan span("oracle.engines");
   const sim::FiringPolicy policies[] = {sim::FiringPolicy::kMaximalStep,
                                         sim::FiringPolicy::kRandomOrder};
-  for (std::size_t e = 0; e < opt.environments; ++e) {
+  for (std::size_t e = 0; e < kOracleEnvironments; ++e) {
     for (const sim::FiringPolicy policy : policies) {
       sim::Environment env = sim::Environment::random_for(
-          system, seed * 1315423911ULL + e, opt.stream_length, 0, 99);
+          system, seed * 1315423911ULL + e, kOracleStreamLength, 0, 99);
       sim::SimOptions so;
-      so.max_cycles = opt.max_cycles;
+      so.max_cycles = kOracleMaxCycles;
       so.policy = policy;
       so.seed = seed + e;
       so.record_cycles = true;  // per-cycle records, registers included
@@ -126,6 +127,8 @@ void engine_differential(const dcf::System& system, std::uint64_t seed,
 
 // --- transformation chain ---------------------------------------------------
 
+/// The passes a chain draws from: the name `transform::make_pass` and
+/// `camadc transform --passes` take, and the direct entry point.
 struct Pass {
   const char* name;
   dcf::System (*apply)(const dcf::System&);
@@ -134,29 +137,25 @@ struct Pass {
 const Pass kPasses[] = {
     {"parallelize",
      [](const dcf::System& s) { return transform::parallelize(s); }},
-    {"merge_all",
+    {"merge-all",
      [](const dcf::System& s) { return transform::merge_all(s); }},
-    {"share_registers",
+    {"regshare",
      [](const dcf::System& s) { return transform::share_registers(s); }},
-    {"chain_states",
+    {"chain",
      [](const dcf::System& s) { return transform::chain_states(s); }},
-    {"cleanup_control",
+    {"cleanup",
      [](const dcf::System& s) { return transform::cleanup_control(s); }},
 };
 
-/// Registered-pass names aligned index-for-index with kPasses, for the
-/// use_pass_pipeline route.
-const char* const kRegisteredNames[] = {"parallelize", "merge-all",
-                                        "regshare", "chain", "cleanup"};
-static_assert(std::size(kRegisteredNames) == std::size(kPasses));
+/// Passes per random transformation chain.
+constexpr std::size_t kMaxTransformSteps = 3;
 
-semantics::DifferentialOptions differential_options(
-    std::uint64_t seed, const OracleOptions& opt) {
+semantics::DifferentialOptions differential_options(std::uint64_t seed) {
   semantics::DifferentialOptions d;
-  d.environments = opt.environments;
+  d.environments = kOracleEnvironments;
   d.seed = seed * 2654435761ULL + 17;
-  d.stream_length = opt.stream_length;
-  d.sim.max_cycles = opt.max_cycles;
+  d.stream_length = kOracleStreamLength;
+  d.sim.max_cycles = kOracleMaxCycles;
   return d;
 }
 
@@ -164,26 +163,24 @@ semantics::DifferentialOptions differential_options(
 /// must stay green and the result must stay observationally equivalent
 /// to the *untransformed* system.
 void transform_chain(const dcf::System& original, std::uint64_t seed,
-                     const OracleOptions& opt) {
-  if (opt.max_transform_steps == 0) return;
+                     bool use_pass_pipeline) {
   const obs::ObsSpan span("oracle.transforms");
   Rng rng(seed ^ 0x7472616e73666fULL);
-  const std::size_t steps = 1 + rng.below(opt.max_transform_steps);
+  const std::size_t steps = 1 + rng.below(kMaxTransformSteps);
   dcf::System current = original;
   // Pipeline route: one cache threaded across the chain; each pass's
   // declared-preserved analyses carry over, and the checker below reads
   // the carried results.
   std::optional<semantics::AnalysisCache> cache;
-  if (opt.use_pass_pipeline) cache.emplace(current);
+  if (use_pass_pipeline) cache.emplace(current);
   std::string chain;
   for (std::size_t i = 0; i < steps; ++i) {
-    const std::size_t pick = rng.below(std::size(kPasses));
-    const Pass& pass = kPasses[pick];
+    const Pass& pass = kPasses[rng.below(std::size(kPasses))];
     chain += (chain.empty() ? "" : " -> ") + std::string(pass.name);
     try {
       if (cache.has_value()) {
         const std::unique_ptr<transform::Pass> registered =
-            transform::make_pass(kRegisteredNames[pick]);
+            transform::make_pass(pass.name);
         dcf::System next = registered->run(current, *cache);
         current = std::move(next);
         cache = cache->successor(current, registered->preserves());
@@ -201,8 +198,8 @@ void transform_chain(const dcf::System& original, std::uint64_t seed,
                          chain + " broke the checker: " + report.to_string()};
     }
     const semantics::EquivalenceVerdict verdict =
-        semantics::differential_equivalence(
-            original, current, differential_options(seed + i, opt));
+        semantics::differential_equivalence(original, current,
+                                            differential_options(seed + i));
     if (!verdict.holds) {
       throw StageFailure{"transforms",
                          chain + " changed observable behaviour: " +
@@ -232,9 +229,7 @@ void require_witness_replays(const petri::Net& net, const char* what,
 }
 
 /// Stage "mc": the model checker vs the petri explorer on one system.
-void mc_crosscheck_stage(const dcf::System& system,
-                         const OracleOptions& opt) {
-  if (!opt.mc_crosscheck) return;
+void mc_crosscheck_stage(const dcf::System& system) {
   const obs::ObsSpan span("oracle.mc");
   const petri::Net& net = system.control().net();
   const petri::ReachabilityOptions ro;
@@ -299,8 +294,12 @@ void mc_crosscheck_stage(const dcf::System& system,
 
 // --- per-level batteries ----------------------------------------------------
 
-void run_system_battery(const dcf::System& system, std::uint64_t seed,
-                        const OracleOptions& opt, bool io_stage) {
+/// Battery re-runs a failing seed's shrinker may spend.
+constexpr std::size_t kMaxShrinkAttempts = 400;
+
+/// The stages both levels run on the materialized system.
+void run_system_stages(const dcf::System& system, std::uint64_t seed,
+                       const OracleOptions& opt) {
   {
     const obs::ObsSpan span("oracle.check");
     const dcf::CheckReport report = dcf::check_properly_designed(system);
@@ -308,49 +307,14 @@ void run_system_battery(const dcf::System& system, std::uint64_t seed,
       throw StageFailure{"check", report.to_string()};
     }
   }
-  mc_crosscheck_stage(system, opt);
-  engine_differential(system, seed, opt);
-  transform_chain(system, seed, opt);
-  if (io_stage && opt.check_io) {
-    const obs::ObsSpan span("oracle.io");
-    std::string text;
-    try {
-      text = dcf::save_system(system);
-      const dcf::System loaded = dcf::load_system(text);
-      if (dcf::save_system(loaded) != text) {
-        throw StageFailure{"io", "re-serialization is not a fixpoint"};
-      }
-      const semantics::EquivalenceVerdict verdict =
-          semantics::differential_equivalence(
-              system, loaded, differential_options(seed, opt));
-      if (!verdict.holds) {
-        throw StageFailure{"io", "loaded system diverges: " + verdict.why};
-      }
-    } catch (const Error& e) {
-      throw StageFailure{"io", describe(e)};
-    }
-  }
-  if (io_stage && opt.check_pnml) {
-    const obs::ObsSpan span("oracle.pnml");
-    try {
-      const petri::Net& net = system.control().net();
-      const std::string text = petri::to_pnml(net, system.name());
-      const petri::PnmlImport imported = petri::from_pnml(text);
-      if (!petri::same_structure(imported.net, net)) {
-        throw StageFailure{"pnml",
-                           "from_pnml(to_pnml(net)) is not isomorphic"};
-      }
-      if (petri::to_pnml(imported.net, system.name()) != text) {
-        throw StageFailure{"pnml", "re-export is not a byte-exact fixpoint"};
-      }
-    } catch (const Error& e) {
-      throw StageFailure{"pnml", describe(e)};
-    }
-  }
+  if (opt.mc_crosscheck) mc_crosscheck_stage(system);
+  engine_differential(system, seed);
+  transform_chain(system, seed, opt.use_pass_pipeline);
 }
 
-void run_program_battery(const synth::Program& program, std::uint64_t seed,
-                         const OracleOptions& opt) {
+/// Program level: compile, roundtrip, the system stages, fold.
+void run_battery(const synth::Program& program, std::uint64_t seed,
+                 const OracleOptions& opt) {
   std::string source;
   dcf::System system = [&] {
     const obs::ObsSpan span("oracle.compile");
@@ -362,7 +326,7 @@ void run_program_battery(const synth::Program& program, std::uint64_t seed,
     }
   }();
 
-  if (opt.check_roundtrip) {
+  {
     const obs::ObsSpan span("oracle.roundtrip");
     try {
       const synth::Program reparsed = synth::parse_program(source);
@@ -375,31 +339,125 @@ void run_program_battery(const synth::Program& program, std::uint64_t seed,
     }
   }
 
-  run_system_battery(system, seed, opt, /*io_stage=*/false);
+  run_system_stages(system, seed, opt);
 
-  if (opt.check_fold) {
-    const obs::ObsSpan span("oracle.fold");
-    try {
-      synth::Program folded = clone_program(program);
-      (void)synth::fold_constants(folded);
-      const dcf::System folded_system = synth::compile(folded);
-      const semantics::EquivalenceVerdict verdict =
-          semantics::differential_equivalence(
-              system, folded_system, differential_options(seed, opt));
-      if (!verdict.holds) {
-        throw StageFailure{"fold",
-                           "folded program diverges: " + verdict.why};
-      }
-    } catch (const Error& e) {
-      throw StageFailure{"fold", describe(e)};
+  const obs::ObsSpan span("oracle.fold");
+  try {
+    synth::Program folded = clone_program(program);
+    (void)synth::fold_constants(folded);
+    const dcf::System folded_system = synth::compile(folded);
+    const semantics::EquivalenceVerdict verdict =
+        semantics::differential_equivalence(system, folded_system,
+                                            differential_options(seed));
+    if (!verdict.holds) {
+      throw StageFailure{"fold", "folded program diverges: " + verdict.why};
     }
+  } catch (const Error& e) {
+    throw StageFailure{"fold", describe(e)};
   }
 }
 
-OracleOutcome outcome_for(std::uint64_t seed, OracleLevel level) {
+/// System level: build, the system stages, io, pnml.
+void run_battery(const SysPlan& plan, std::uint64_t seed,
+                 const OracleOptions& opt) {
+  const dcf::System system = [&] {
+    const obs::ObsSpan span("oracle.build");
+    try {
+      return build_system(plan, "gensys_" + std::to_string(seed));
+    } catch (const Error& e) {
+      throw StageFailure{"build", describe(e)};
+    }
+  }();
+
+  run_system_stages(system, seed, opt);
+
+  {
+    const obs::ObsSpan span("oracle.io");
+    try {
+      const std::string text = dcf::save_system(system);
+      const dcf::System loaded = dcf::load_system(text);
+      if (dcf::save_system(loaded) != text) {
+        throw StageFailure{"io", "re-serialization is not a fixpoint"};
+      }
+      const semantics::EquivalenceVerdict verdict =
+          semantics::differential_equivalence(system, loaded,
+                                              differential_options(seed));
+      if (!verdict.holds) {
+        throw StageFailure{"io", "loaded system diverges: " + verdict.why};
+      }
+    } catch (const Error& e) {
+      throw StageFailure{"io", describe(e)};
+    }
+  }
+
+  const obs::ObsSpan span("oracle.pnml");
+  try {
+    const petri::Net& net = system.control().net();
+    const std::string text = petri::to_pnml(net, system.name());
+    const petri::PnmlImport imported = petri::from_pnml(text);
+    if (!petri::same_structure(imported.net, net)) {
+      throw StageFailure{"pnml", "from_pnml(to_pnml(net)) is not isomorphic"};
+    }
+    if (petri::to_pnml(imported.net, system.name()) != text) {
+      throw StageFailure{"pnml", "re-export is not a byte-exact fixpoint"};
+    }
+  } catch (const Error& e) {
+    throw StageFailure{"pnml", describe(e)};
+  }
+}
+
+std::string artifact(const synth::Program& program) {
+  return synth::to_source(program);
+}
+std::string artifact(const SysPlan& plan) { return plan_to_string(plan); }
+
+synth::Program shrink(const synth::Program& program,
+                      const ProgramPredicate& still_fails) {
+  return shrink_program(program, still_fails, kMaxShrinkAttempts);
+}
+SysPlan shrink(const SysPlan& plan, const PlanPredicate& still_fails) {
+  return shrink_plan(plan, still_fails, kMaxShrinkAttempts);
+}
+
+/// The battery on one input: its first failing stage, or any stray
+/// exception, becomes the outcome.
+template <typename Input>
+OracleOutcome run_oracle(const Input& input, std::uint64_t seed,
+                         OracleLevel level, const OracleOptions& opt) {
   OracleOutcome out;
   out.seed = seed;
   out.level = level;
+  try {
+    run_battery(input, seed, opt);
+  } catch (const StageFailure& f) {
+    out.ok = false;
+    out.stage = f.stage;
+    out.detail = f.detail;
+  } catch (const std::exception& e) {
+    out.ok = false;
+    out.stage = "unexpected";
+    out.detail = describe(e);
+  }
+  return out;
+}
+
+/// Generated input -> battery -> (on failure) shrink under "fails at the
+/// same stage" -> battery on the shrunk input. The outcome's artifact is
+/// the input its verdict is about.
+template <typename Input>
+OracleOutcome drive(const Input& input, std::uint64_t seed, OracleLevel level,
+                    const OracleOptions& opt) {
+  OracleOutcome out = run_oracle(input, seed, level, opt);
+  if (out.ok || !opt.shrink_failures) {
+    out.artifact = artifact(input);
+    return out;
+  }
+  const Input shrunk = shrink(input, [&](const Input& candidate) {
+    const OracleOutcome o = run_oracle(candidate, seed, level, opt);
+    return !o.ok && o.stage == out.stage;
+  });
+  out = run_oracle(shrunk, seed, level, opt);
+  out.artifact = artifact(shrunk);
   return out;
 }
 
@@ -432,50 +490,6 @@ std::string OracleOutcome::corpus_line() const {
   return os.str();
 }
 
-OracleOutcome run_program_oracle(const synth::Program& program,
-                                 std::uint64_t seed,
-                                 const OracleOptions& options) {
-  OracleOutcome out = outcome_for(seed, OracleLevel::kProgram);
-  try {
-    run_program_battery(program, seed, options);
-  } catch (const StageFailure& f) {
-    out.ok = false;
-    out.stage = f.stage;
-    out.detail = f.detail;
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.stage = "unexpected";
-    out.detail = describe(e);
-  }
-  return out;
-}
-
-OracleOutcome run_plan_oracle(const SysPlan& plan, std::uint64_t seed,
-                              const OracleOptions& options) {
-  OracleOutcome out = outcome_for(seed, OracleLevel::kSystem);
-  try {
-    const dcf::System system = [&] {
-      const obs::ObsSpan span("oracle.build");
-      try {
-        return build_system(plan, options.system,
-                            "gensys_" + std::to_string(seed));
-      } catch (const Error& e) {
-        throw StageFailure{"build", describe(e)};
-      }
-    }();
-    run_system_battery(system, seed, options, /*io_stage=*/true);
-  } catch (const StageFailure& f) {
-    out.ok = false;
-    out.stage = f.stage;
-    out.detail = f.detail;
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.stage = "unexpected";
-    out.detail = describe(e);
-  }
-  return out;
-}
-
 OracleOutcome run_seed(std::uint64_t seed, OracleLevel level,
                        const OracleOptions& options) {
   const obs::ObsSpan seed_span("oracle.seed", [&] {
@@ -483,42 +497,10 @@ OracleOutcome run_seed(std::uint64_t seed, OracleLevel level,
            std::string(level_name(level)) + "\"}";
   });
   if (level == OracleLevel::kProgram) {
-    const synth::Program program = random_program(seed, options.program);
-    OracleOutcome out = run_program_oracle(program, seed, options);
-    out.artifact = synth::to_source(program);
-    if (!out.ok && options.shrink_failures) {
-      const std::string stage = out.stage;
-      const synth::Program shrunk = shrink_program(
-          program,
-          [&](const synth::Program& candidate) {
-            const OracleOutcome o =
-                run_program_oracle(candidate, seed, options);
-            return !o.ok && o.stage == stage;
-          },
-          options.max_shrink_attempts);
-      out = run_program_oracle(shrunk, seed, options);
-      out.artifact = synth::to_source(shrunk);
-    }
-    return out;
+    return drive(random_program(seed), seed, level, options);
   }
-
   Rng rng(seed);
-  const SysPlan plan = random_plan(rng, options.system);
-  OracleOutcome out = run_plan_oracle(plan, seed, options);
-  out.artifact = plan_to_string(plan);
-  if (!out.ok && options.shrink_failures) {
-    const std::string stage = out.stage;
-    const SysPlan shrunk = shrink_plan(
-        plan,
-        [&](const SysPlan& candidate) {
-          const OracleOutcome o = run_plan_oracle(candidate, seed, options);
-          return !o.ok && o.stage == stage;
-        },
-        options.max_shrink_attempts);
-    out = run_plan_oracle(shrunk, seed, options);
-    out.artifact = plan_to_string(shrunk);
-  }
-  return out;
+  return drive(random_plan(rng), seed, level, options);
 }
 
 std::vector<OracleOutcome> run_seed_range(std::uint64_t first,

@@ -12,10 +12,10 @@
 //               bit-identical results (trace, termination, violations,
 //               final registers) under identical environments — PR 1's
 //               differential contract, quantified over generated systems;
-//   transforms  a seed-derived random chain of semantics-preserving
-//               passes (parallelize, merge_all, share_registers,
-//               chain_states, cleanup_control) keeps the checker green at
-//               every step and preserves the external event structure
+//   transforms  a seed-derived random chain of up to three semantics-
+//               preserving passes (parallelize, merge-all, regshare,
+//               chain, cleanup) keeps the checker green at every step
+//               and preserves the external event structure
 //               (semantics::differential_equivalence against the
 //               untransformed system);
 //   fold        (program level) compiling the constant-folded program is
@@ -26,18 +26,18 @@
 //               structurally identical control net and re-export is a
 //               byte-exact fixpoint.
 //
-// A failing seed is minimized with gen/shrink.h under a predicate that
-// reruns the battery and demands the *same stage* fail, then reported
-// with a ready-to-check-in corpus line and a human-readable artifact
-// (shrunk BDL source / plan s-expression).
+// Every stage runs on every seed; only the mc cross-check (stage "mc")
+// waits to be asked for. A failing seed is minimized with gen/shrink.h
+// under a predicate that reruns the battery and demands the *same stage*
+// fail, then reported with a ready-to-check-in corpus line and a
+// human-readable artifact (shrunk BDL source / plan s-expression).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "gen/program.h"
-#include "gen/sysgen.h"
 
 namespace camad::gen {
 
@@ -48,21 +48,17 @@ enum class OracleLevel : std::uint8_t {
 
 std::string_view level_name(OracleLevel level);
 
+/// Bounds of every simulation the battery runs. Generated systems are
+/// small, so the environments and the cycle bound are tight. The stream
+/// length is generous on purpose: equivalence of the transformations is
+/// assessed under *non-exhausting* environments (the Def 3.5 operating
+/// contract regshare's definedness analysis assumes), so streams must
+/// outlast every bounded loop of a generated system.
+constexpr std::size_t kOracleEnvironments = 2;
+constexpr std::size_t kOracleStreamLength = 256;
+constexpr std::uint64_t kOracleMaxCycles = 5000;
+
 struct OracleOptions {
-  ProgramGenOptions program;
-  SystemGenOptions system;
-  /// Environments / stream length / cycle bound for every simulation the
-  /// battery runs. Generated systems are small; keep these tight. The
-  /// stream length is generous on purpose: equivalence of the
-  /// transformations is assessed under *non-exhausting* environments
-  /// (the Def 3.5 operating contract regshare's definedness analysis
-  /// assumes) — streams must outlast every bounded loop of a generated
-  /// system.
-  std::size_t environments = 2;
-  std::size_t stream_length = 256;
-  std::uint64_t max_cycles = 5000;
-  /// Passes per random transformation chain (0 disables the stage).
-  std::size_t max_transform_steps = 3;
   /// Route the transformation chain through transform::PassPipeline's
   /// machinery (registered passes + one AnalysisCache threaded across
   /// the chain via successor()) instead of direct calls. Same seeds draw
@@ -71,13 +67,6 @@ struct OracleOptions {
   /// every pass's PreservedAnalyses declaration, because the checker and
   /// the equivalence oracle observe the carried analyses' consequences.
   bool use_pass_pipeline = false;
-  bool check_roundtrip = true;
-  bool check_fold = true;
-  bool check_io = true;
-  /// (system level) to_pnml -> from_pnml returns a structurally
-  /// identical control net, and re-export is a byte-exact fixpoint —
-  /// the PNML interchange path quantified over generated systems.
-  bool check_pnml = true;
   /// Cross-check the mc model checker against the petri explorer on
   /// every generated system (stage "mc"): unguarded mc must reproduce
   /// petri::explore's verdicts and concurrency relation bit-for-bit,
@@ -87,7 +76,6 @@ struct OracleOptions {
   bool mc_crosscheck = false;
   /// Minimize failures before reporting (costs predicate re-runs).
   bool shrink_failures = true;
-  std::size_t max_shrink_attempts = 400;
 };
 
 struct OracleOutcome {
@@ -114,14 +102,6 @@ OracleOutcome run_seed(std::uint64_t seed, OracleLevel level,
 std::vector<OracleOutcome> run_seed_range(std::uint64_t first,
                                           std::size_t count,
                                           const OracleOptions& options = {});
-
-/// Battery entry points over pre-drawn inputs (used by the shrinker's
-/// predicate and by tests that construct inputs directly).
-OracleOutcome run_program_oracle(const synth::Program& program,
-                                 std::uint64_t seed,
-                                 const OracleOptions& options = {});
-OracleOutcome run_plan_oracle(const SysPlan& plan, std::uint64_t seed,
-                              const OracleOptions& options = {});
 
 // --- seed corpus ------------------------------------------------------------
 //

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dcf/ops.h"
+#include "util/rng.h"
 
 namespace camad::gen {
 namespace {
@@ -45,19 +46,18 @@ struct Scope {
   }
 };
 
+/// Operator nesting of a generated expression.
+constexpr std::size_t kExprDepth = 2;
+
 class ProgramGen {
  public:
-  ProgramGen(Rng& rng, const ProgramGenOptions& opt) : rng_(rng), opt_(opt) {}
+  explicit ProgramGen(std::uint64_t seed) : rng_(seed) {}
 
   Program run() {
     Program p;
-    p.name = "gen";
-    for (std::size_t i = 0; i < std::max<std::size_t>(1, opt_.num_inputs); ++i)
-      p.inputs.push_back("a" + std::to_string(i));
-    for (std::size_t i = 0; i < std::max<std::size_t>(1, opt_.num_outputs); ++i)
-      p.outputs.push_back("o" + std::to_string(i));
-    for (std::size_t i = 0; i < std::max<std::size_t>(1, opt_.num_vars); ++i)
-      p.variables.push_back("v" + std::to_string(i));
+    p.inputs = {"a0", "a1"};
+    p.outputs = {"o0"};
+    p.variables = {"v0", "v1", "v2", "v3"};
 
     Scope top{p.variables, {}, p.inputs};
 
@@ -66,9 +66,9 @@ class ProgramGen {
     // condition would turn into a — legal but useless — deadlock).
     const Scope init_scope{{}, {}, p.inputs};
     for (const std::string& v : p.variables) {
-      p.body.stmts.push_back(assign(v, leaf(init_scope, /*condition=*/false)));
+      p.body.stmts.push_back(assign(v, leaf(init_scope)));
     }
-    gen_block(p.body, top, opt_.max_depth);
+    gen_block(p.body, top, /*depth=*/3);
     // Epilogue: every output observes something (external events exist).
     for (const std::string& o : p.outputs) {
       p.body.stmts.push_back(assign(o, gen_expr(top, 1, false)));
@@ -123,7 +123,7 @@ class ProgramGen {
   }
 
   // --- expressions ----------------------------------------------------------
-  ExprPtr leaf(const Scope& scope, bool condition) {
+  ExprPtr leaf(const Scope& scope) {
     const std::vector<std::string> vars = scope.readable_vars();
     // Bias toward variables/inputs so dataflow actually flows.
     const bool want_var = !vars.empty() && rng_.chance(0.45);
@@ -131,24 +131,23 @@ class ProgramGen {
     const bool want_input = !scope.inputs.empty() && rng_.chance(0.5);
     if (want_input) return Expr::variable(pick(scope.inputs));
     if (!vars.empty() && rng_.chance(0.5)) return Expr::variable(pick(vars));
-    (void)condition;
-    return Expr::literal_of(rng_.range(opt_.literal_lo, opt_.literal_hi));
+    return Expr::literal_of(rng_.range(0, 9));
   }
 
   ExprPtr gen_expr(const Scope& scope, std::size_t depth, bool condition) {
-    if (depth == 0 || rng_.chance(0.35)) return leaf(scope, condition);
+    if (depth == 0 || rng_.chance(0.35)) return leaf(scope);
     const double roll = rng_.uniform();
     if (roll < 0.12) {
       const OpCode op = rng_.chance(0.5) ? OpCode::kNeg : OpCode::kNot;
       return Expr::unary(op, gen_expr(scope, depth - 1, condition));
     }
-    if (!condition && opt_.allow_mux && roll < 0.2) {
+    if (!condition && roll < 0.2) {
       return Expr::mux(gen_expr(scope, depth - 1, condition),
                        gen_expr(scope, depth - 1, condition),
                        gen_expr(scope, depth - 1, condition));
     }
     OpCode op;
-    if (!condition && opt_.allow_partial_ops && rng_.chance(0.12)) {
+    if (!condition && rng_.chance(0.12)) {
       op = kPartialBinary[rng_.below(std::size(kPartialBinary))];
     } else {
       op = kTotalBinary[rng_.below(std::size(kTotalBinary))];
@@ -159,36 +158,33 @@ class ProgramGen {
 
   // --- statements -----------------------------------------------------------
   void gen_block(Block& block, const Scope& scope, std::size_t depth) {
-    const std::size_t n =
-        1 + rng_.below(std::max<std::size_t>(1, opt_.max_block_stmts));
+    const std::size_t n = 1 + rng_.below(3);
     for (std::size_t i = 0; i < n; ++i) gen_stmt(block, scope, depth);
   }
 
   void gen_stmt(Block& block, const Scope& scope, std::size_t depth) {
     const bool composite_ok = depth > 0 && scope.writable.size() >= 2;
-    if (composite_ok && opt_.allow_par && rng_.chance(opt_.p_par)) {
+    if (composite_ok && rng_.chance(0.2)) {
       gen_par(block, scope, depth);
       return;
     }
-    if (composite_ok && opt_.allow_while && rng_.chance(opt_.p_while)) {
+    if (composite_ok && rng_.chance(0.2)) {
       gen_while(block, scope, depth);
       return;
     }
-    if (depth > 0 && !scope.writable.empty() && opt_.allow_if &&
-        rng_.chance(opt_.p_if)) {
+    if (depth > 0 && !scope.writable.empty() && rng_.chance(0.25)) {
       gen_if(block, scope, depth);
       return;
     }
     if (scope.writable.empty()) return;  // nothing assignable here
-    block.stmts.push_back(assign(pick(scope.writable),
-                                 gen_expr(scope, opt_.max_expr_depth, false)));
+    block.stmts.push_back(
+        assign(pick(scope.writable), gen_expr(scope, kExprDepth, false)));
   }
 
   void gen_if(Block& block, const Scope& scope, std::size_t depth) {
     auto s = std::make_unique<Stmt>();
     s->kind = synth::StmtKind::kIf;
-    s->cond = gen_expr(scope, std::min<std::size_t>(opt_.max_expr_depth, 2),
-                       /*condition=*/true);
+    s->cond = gen_expr(scope, kExprDepth, /*condition=*/true);
 
     // if/else arms are structurally parallel (Def 2.3 ∥): disjoint write
     // sets and disjoint input channels, shared reads only via `frozen`.
@@ -213,9 +209,7 @@ class ProgramGen {
     const std::string counter = body_scope.writable[c];
     body_scope.writable.erase(body_scope.writable.begin() +
                               static_cast<std::ptrdiff_t>(c));
-    const std::int64_t iters =
-        1 + static_cast<std::int64_t>(
-                rng_.below(std::max<std::uint32_t>(1, opt_.max_loop_iters)));
+    const auto iters = 1 + static_cast<std::int64_t>(rng_.below(3));
     block.stmts.push_back(assign(counter, Expr::literal_of(iters)));
 
     auto s = std::make_unique<Stmt>();
@@ -230,8 +224,9 @@ class ProgramGen {
   }
 
   void gen_par(Block& block, const Scope& scope, std::size_t depth) {
-    const std::size_t max_arms = std::min<std::size_t>(
-        {static_cast<std::size_t>(3), scope.writable.size()});
+    // No more arms than writable variables, so each arm gets at least one.
+    const std::size_t max_arms =
+        std::min<std::size_t>(3, scope.writable.size());
     const std::size_t arms = 2 + rng_.below(max_arms - 1);
 
     std::vector<std::string> frozen = scope.frozen;
@@ -243,38 +238,20 @@ class ProgramGen {
     s->kind = synth::StmtKind::kPar;
     for (std::size_t i = 0; i < arms; ++i) {
       Block branch;
-      const Scope arm_scope{var_parts[i], frozen, input_parts[i]};
-      if (arm_scope.writable.empty()) {
-        // Pool too small for this arm: give it a frozen read so the
-        // branch is non-empty... not assignable; skip the arm instead.
-        continue;
-      }
-      gen_block(branch, arm_scope, depth - 1);
+      gen_block(branch, Scope{var_parts[i], frozen, input_parts[i]},
+                depth - 1);
       s->branches.push_back(std::move(branch));
-    }
-    if (s->branches.size() < 2) {
-      // Degenerate partition — fall back to a plain assignment.
-      block.stmts.push_back(assign(
-          pick(scope.writable), gen_expr(scope, opt_.max_expr_depth, false)));
-      return;
     }
     block.stmts.push_back(std::move(s));
   }
 
-  Rng& rng_;
-  const ProgramGenOptions& opt_;
+  Rng rng_;
 };
 
 }  // namespace
 
-synth::Program random_program(Rng& rng, const ProgramGenOptions& options) {
-  return ProgramGen(rng, options).run();
-}
-
-synth::Program random_program(std::uint64_t seed,
-                              const ProgramGenOptions& options) {
-  Rng rng(seed);
-  synth::Program p = random_program(rng, options);
+synth::Program random_program(std::uint64_t seed) {
+  synth::Program p = ProgramGen(seed).run();
   p.name = "gen_" + std::to_string(seed);
   return p;
 }

@@ -30,46 +30,22 @@
 //                       counter variable initialized to a small literal
 //                       and decremented exactly once per iteration.
 //
-// Generation is deterministic in (seed, options): the same pair always
-// yields the same program, on every platform (util/rng.h).
+// The distribution is fixed here, not configured: two input channels,
+// one output, four registers, nesting depth 3, up to 3 statements per
+// block, expression depth 2, literals 0..9, loops of 1..3 trips, and
+// if / while / par drawn with chance 0.25 / 0.2 / 0.2 per slot. The
+// seed alone names a program, so corpus seeds and sweeps mean the same
+// program on every platform and in every build (util/rng.h).
 #pragma once
 
 #include <cstdint>
 
 #include "synth/ast.h"
-#include "util/rng.h"
 
 namespace camad::gen {
 
-struct ProgramGenOptions {
-  std::size_t num_inputs = 2;       ///< >= 1 environment sources
-  std::size_t num_outputs = 1;      ///< >= 1 environment sinks
-  std::size_t num_vars = 4;         ///< >= 1 general-purpose registers
-  std::size_t max_depth = 3;        ///< nesting budget for if/while/par
-  std::size_t max_block_stmts = 3;  ///< statements per block (>= 1)
-  std::size_t max_expr_depth = 2;   ///< operator nesting in expressions
-  std::int64_t literal_lo = 0;
-  std::int64_t literal_hi = 9;
-  std::uint32_t max_loop_iters = 3;  ///< counted-loop trip bound (>= 1)
-  double p_if = 0.25;                ///< per-slot branch probability
-  double p_while = 0.2;
-  double p_par = 0.2;
-  bool allow_par = true;
-  bool allow_while = true;
-  bool allow_if = true;
-  bool allow_mux = true;
-  /// Division/modulo/shifts can evaluate to ⊥ (divide by zero, shift out
-  /// of range); they are legal and deterministic but are kept out of
-  /// branch conditions (a ⊥ guard deadlocks the net).
-  bool allow_partial_ops = true;
-};
-
-/// Draws one program from `rng`. See the header comment for the
-/// invariants the result satisfies.
-synth::Program random_program(Rng& rng, const ProgramGenOptions& options = {});
-
-/// Seeded convenience; the program is named "gen_<seed>".
-synth::Program random_program(std::uint64_t seed,
-                              const ProgramGenOptions& options = {});
+/// Draws the program named by `seed`; it is named "gen_<seed>". See the
+/// header comment for the invariants the result satisfies.
+synth::Program random_program(std::uint64_t seed);
 
 }  // namespace camad::gen

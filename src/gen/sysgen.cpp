@@ -74,16 +74,13 @@ struct Pool {
 
 class SysBuilder {
  public:
-  SysBuilder(const SysPlan& plan, const SystemGenOptions& opt,
-             std::string name)
-      : plan_(plan), opt_(opt), name_(std::move(name)) {}
+  SysBuilder(const SysPlan& plan, std::string name)
+      : plan_(plan), name_(std::move(name)) {}
 
   dcf::System run() {
     Pool pool;
-    for (std::size_t i = 0;
-         i < std::max<std::size_t>(1, opt_.num_inputs); ++i) {
-      const VertexId in = b_.input("a" + std::to_string(i));
-      pool.inputs.push_back(b_.out(in));
+    for (const char* input : {"a0", "a1"}) {
+      pool.inputs.push_back(b_.out(b_.input(input)));
     }
     // Constant seed sources, always defined from cycle zero.
     for (std::int64_t c : {2, 3, 5}) {
@@ -213,15 +210,7 @@ class SysBuilder {
   std::pair<PortId, PortId> build_guard_pair(const SysPlan& node,
                                              PlaceId s_test, PortId lhs,
                                              PortId rhs) {
-    GuardStyle style = node.guard;
-    if (style == GuardStyle::kComparePair && !opt_.allow_compare_pair_guards) {
-      style = GuardStyle::kNotUnit;
-    }
-    if (style == GuardStyle::kLatchedPair && !opt_.allow_latched_guards) {
-      style = GuardStyle::kNotUnit;
-    }
-
-    if (style == GuardStyle::kComparePair) {
+    if (node.guard == GuardStyle::kComparePair) {
       // One vertex, two complementary predicate outputs over shared
       // inputs — the second complementary pattern dcf::check proves.
       const auto [pos_op, neg_op] =
@@ -247,7 +236,7 @@ class SysBuilder {
     const VertexId inv = b_.unit(fresh("not"), OpCode::kNot);
     b_.arc(b_.out(cmp), b_.in(inv), {s_test});
 
-    if (style == GuardStyle::kLatchedPair) {
+    if (node.guard == GuardStyle::kLatchedPair) {
       // Condition registers: the branch fires one cycle after entry,
       // off the values latched at the end of the first test cycle.
       const VertexId rpos = b_.reg(fresh("cpos"));
@@ -267,8 +256,7 @@ class SysBuilder {
     const PlaceId s_test = b_.state(fresh("Sif"));
     // kLatchedPair compares only always-defined sources: a ⊥ condition
     // register would stall the branch forever.
-    const bool latched = node.guard == GuardStyle::kLatchedPair &&
-                         opt_.allow_latched_guards;
+    const bool latched = node.guard == GuardStyle::kLatchedPair;
     const PortId lhs = latched ? pool.select_defined(node.cmp_a, num_consts_)
                                : pool.select(node.cmp_a);
     const PortId rhs = latched ? pool.select_defined(node.cmp_b, num_consts_)
@@ -367,7 +355,6 @@ class SysBuilder {
   }
 
   const SysPlan& plan_;
-  const SystemGenOptions& opt_;
   std::string name_;
   dcf::SystemBuilder b_;
   std::size_t num_consts_ = 0;
@@ -376,10 +363,10 @@ class SysBuilder {
 
 class PlanGen {
  public:
-  PlanGen(Rng& rng, const SystemGenOptions& opt) : rng_(rng), opt_(opt) {}
+  explicit PlanGen(Rng& rng) : rng_(rng) {}
 
   SysPlan run() {
-    SysPlan root = seq(opt_.max_depth);
+    SysPlan root = seq(/*depth=*/3);
     if (plan_size(root) == 0) {
       root.children.insert(root.children.begin(), step());
     }
@@ -400,27 +387,26 @@ class PlanGen {
   SysPlan seq(std::size_t depth) {
     SysPlan p;
     p.kind = PlanKind::kSeq;
-    const std::size_t n =
-        1 + rng_.below(std::max<std::size_t>(1, opt_.max_seq));
+    const std::size_t n = 1 + rng_.below(3);
     for (std::size_t i = 0; i < n; ++i) p.children.push_back(node(depth));
     return p;
   }
 
   SysPlan node(std::size_t depth) {
     if (depth == 0 || budget_ == 0 || rng_.chance(0.3)) return step();
+    // par / branch / loop with chance 0.2 / 0.25 / 0.2.
     const double roll = rng_.uniform();
-    if (roll < opt_.p_par) {
+    if (roll < 0.2) {
       --budget_;
       SysPlan p;
       p.kind = PlanKind::kPar;
-      const std::size_t arms =
-          2 + rng_.below(std::max<std::size_t>(2, opt_.max_par) - 1);
+      const std::size_t arms = 2 + rng_.below(2);
       for (std::size_t i = 0; i < arms; ++i) {
         p.children.push_back(seq(depth - 1));
       }
       return p;
     }
-    if (roll < opt_.p_par + opt_.p_branch) {
+    if (roll < 0.45) {
       --budget_;
       SysPlan p;
       p.kind = PlanKind::kBranch;
@@ -435,12 +421,11 @@ class PlanGen {
       if (rng_.chance(0.6)) p.children.push_back(seq(depth - 1));
       return p;
     }
-    if (roll < opt_.p_par + opt_.p_branch + opt_.p_loop) {
+    if (roll < 0.65) {
       --budget_;
       SysPlan p;
       p.kind = PlanKind::kLoop;
-      p.iters = 1 + static_cast<std::uint32_t>(rng_.below(
-                        std::max<std::uint32_t>(1, opt_.max_loop_iters)));
+      p.iters = 1 + static_cast<std::uint32_t>(rng_.below(3));
       p.children.push_back(seq(depth - 1));
       return p;
     }
@@ -448,7 +433,6 @@ class PlanGen {
   }
 
   Rng& rng_;
-  const SystemGenOptions& opt_;
   std::size_t budget_ = 8;  ///< composite-node cap: bounds system size
 };
 
@@ -475,20 +459,15 @@ void print_plan(const SysPlan& p, std::ostringstream& os) {
 
 }  // namespace
 
-SysPlan random_plan(Rng& rng, const SystemGenOptions& options) {
-  return PlanGen(rng, options).run();
+SysPlan random_plan(Rng& rng) { return PlanGen(rng).run(); }
+
+dcf::System build_system(const SysPlan& plan, const std::string& name) {
+  return SysBuilder(plan, name).run();
 }
 
-dcf::System build_system(const SysPlan& plan, const SystemGenOptions& options,
-                         const std::string& name) {
-  return SysBuilder(plan, options, name).run();
-}
-
-dcf::System random_system(std::uint64_t seed,
-                          const SystemGenOptions& options) {
+dcf::System random_system(std::uint64_t seed) {
   Rng rng(seed);
-  const SysPlan plan = random_plan(rng, options);
-  return build_system(plan, options, "gensys_" + std::to_string(seed));
+  return build_system(random_plan(rng), "gensys_" + std::to_string(seed));
 }
 
 std::string plan_to_string(const SysPlan& plan) {

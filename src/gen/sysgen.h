@@ -26,6 +26,13 @@
 // of their own loop), partitioned input channels across parallel arms,
 // provably exclusive guards, tree-shaped active subgraphs, and counted
 // loops. Validated post-hoc by check_properly_designed in the tests.
+//
+// The distribution is fixed here, not configured: two input channels,
+// nesting depth 3, up to 3 children per kSeq and 2..3 arms per kPar,
+// loops of 1..3 trips, at most 8 composite nodes per plan, composites
+// drawn as par / branch / loop with chance 0.2 / 0.25 / 0.2, and guard
+// styles kNotUnit / kComparePair / kLatchedPair at 0.5 / 0.3 / 0.2. The
+// seed alone names a plan and a system.
 #pragma once
 
 #include <cstdint>
@@ -66,30 +73,15 @@ struct SysPlan {
   std::uint32_t iters = 1;  ///< trip count (clamped to >= 1)
 };
 
-struct SystemGenOptions {
-  std::size_t num_inputs = 2;   ///< >= 1
-  std::size_t max_depth = 3;    ///< composite nesting budget
-  std::size_t max_seq = 3;      ///< children per kSeq (>= 1)
-  std::size_t max_par = 3;      ///< arms per kPar (>= 2)
-  std::uint32_t max_loop_iters = 3;
-  double p_par = 0.2;
-  double p_branch = 0.25;
-  double p_loop = 0.2;
-  bool allow_compare_pair_guards = true;
-  bool allow_latched_guards = true;
-};
-
-/// Draws a plan. Deterministic in the rng state and options.
-SysPlan random_plan(Rng& rng, const SystemGenOptions& options = {});
+/// Draws a plan. Deterministic in the rng state.
+SysPlan random_plan(Rng& rng);
 
 /// Materializes a plan into a validated System (deterministic).
 dcf::System build_system(const SysPlan& plan,
-                         const SystemGenOptions& options = {},
                          const std::string& name = "gensys");
 
 /// random_plan + build_system; the system is named "gensys_<seed>".
-dcf::System random_system(std::uint64_t seed,
-                          const SystemGenOptions& options = {});
+dcf::System random_system(std::uint64_t seed);
 
 /// Compact s-expression rendering, e.g. "(seq (step op=3) (loop 2 (...)))".
 std::string plan_to_string(const SysPlan& plan);

@@ -306,7 +306,7 @@ struct Search {
     }
 
     // --- reachable guard conflicts (rule 3, per state) -----------------
-    if (guards != nullptr && options.detect_conflicts) {
+    if (guards != nullptr) {
       for (const std::uint32_t p : ws.marked_list) {
         const auto& comp = competitors[p];
         if (comp.size() < 2) continue;

@@ -8,7 +8,8 @@
 // on-the-fly per expanded state: safeness (with a canonical unsafe
 // witness), termination vs deadlock, dead transitions, the exact place
 // concurrency relation, and reachable guard conflicts (Def 3.2 rule 3
-// evaluated per reachable state instead of statically).
+// evaluated per reachable state instead of statically; every guard-aware
+// run collects them).
 //
 // Determinism: results are identical for any thread count. Levels are
 // barriers (sim::parallel_jobs joins per depth), every aggregate is a
@@ -50,8 +51,6 @@ struct McOptions {
   bool use_guards = true;
   /// Compute the exact place-concurrency relation.
   bool compute_concurrency = true;
-  /// Detect reachable guard conflicts (system overload with guards only).
-  bool detect_conflicts = true;
   /// Keep parent pointers usable and reconstruct witness traces.
   bool collect_traces = true;
   /// Visited-store shards (0 = auto from thread count; rounded to pow2).

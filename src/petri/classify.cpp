@@ -1,29 +1,36 @@
 #include "petri/classify.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace camad::petri {
 
 bool is_state_machine(const Net& net) {
   for (TransitionId t : net.transitions()) {
-    if (net.pre(t).size() != 1 || net.post(t).size() != 1) return false;
+    if (distinct(net.pre(t)).size() != 1 ||
+        distinct(net.post(t)).size() != 1) {
+      return false;
+    }
   }
   return true;
 }
 
 bool is_marked_graph(const Net& net) {
   for (PlaceId p : net.places()) {
-    if (net.pre(p).size() != 1 || net.post(p).size() != 1) return false;
+    if (distinct(net.pre(p)).size() != 1 || net.consumers(p).size() != 1) {
+      return false;
+    }
   }
   return true;
 }
 
 bool is_free_choice(const Net& net) {
-  // For every arc (p, t): |post(p)| == 1 or |pre(t)| == 1.
+  // For every arc (p, t): p has one consumer or t has one input place.
   for (PlaceId p : net.places()) {
-    if (net.post(p).size() <= 1) continue;
-    for (TransitionId t : net.post(p)) {
-      if (net.pre(t).size() != 1) return false;
+    const std::vector<TransitionId> consumers = net.consumers(p);
+    if (consumers.size() <= 1) continue;
+    for (TransitionId t : consumers) {
+      if (distinct(net.pre(t)).size() != 1) return false;
     }
   }
   return true;
@@ -32,10 +39,10 @@ bool is_free_choice(const Net& net) {
 bool is_extended_free_choice(const Net& net) {
   // Transitions sharing any input place must have identical pre-sets.
   for (PlaceId p : net.places()) {
-    const auto& consumers = net.post(p);
+    const std::vector<TransitionId> consumers = net.consumers(p);
     for (std::size_t i = 0; i + 1 < consumers.size(); ++i) {
-      auto a = net.pre(consumers[i]);
-      auto b = net.pre(consumers[i + 1]);
+      std::vector<PlaceId> a = distinct(net.pre(consumers[i]));
+      std::vector<PlaceId> b = distinct(net.pre(consumers[i + 1]));
       std::sort(a.begin(), a.end());
       std::sort(b.begin(), b.end());
       if (a != b) return false;

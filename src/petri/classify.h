@@ -9,6 +9,10 @@
 //   * free choice    — conflicts are localized: if two transitions share
 //                      an input place, that place is their only input
 //                      (guarded branches compile to this shape).
+//
+// Classes are of the distinct-arc graph, with weights ignored: a weight-w
+// arc is one arc here, as it is to dcf::check rule 3 and to mc
+// (Net::consumers, petri::distinct). Only `camadc report` reads them.
 #pragma once
 
 #include <string>

@@ -151,12 +151,12 @@ std::string Service::handle(const std::string& request_json) {
     return error_response(op, kErrUnknownOp, "unknown op '" + op + "'");
   }
 
-  auto job = std::make_unique<Job>();
-  job->op = op;
-  job->payload = request_json;
   const std::uint64_t deadline_ms =
       uint_or(request, "deadline_ms",
               static_cast<std::uint64_t>(options_.default_deadline.count()));
+  auto job = std::make_unique<Job>();
+  job->op = op;
+  job->request = std::move(request);
   job->budget = deadline_ms > 0
                     ? std::make_unique<Budget>(
                           std::chrono::milliseconds(deadline_ms))
@@ -249,7 +249,7 @@ std::string Service::do_health() {
 }
 
 std::string Service::do_upload(Job& job) {
-  const JsonValue request = json_parse(job.payload);
+  const JsonValue& request = job.request;
   const std::string source = require_string(request, "source");
   std::string name = "design";
   if (const JsonValue* n = request.find("name");
@@ -306,7 +306,7 @@ sim::Simulator& Service::pooled_simulator(
 }
 
 std::string Service::do_simulate(WorkerState& state, Job& job) {
-  const JsonValue request = json_parse(job.payload);
+  const JsonValue& request = job.request;
   const std::string id = require_string(request, "design");
   const auto design = store_.get(id);
   if (design == nullptr) {
@@ -423,7 +423,7 @@ std::string Service::do_simulate(WorkerState& state, Job& job) {
 }
 
 std::string Service::do_verify(Job& job) {
-  const JsonValue request = json_parse(job.payload);
+  const JsonValue& request = job.request;
   const std::string id = require_string(request, "design");
   const auto design = store_.get(id);
   if (design == nullptr) {
@@ -465,7 +465,7 @@ std::string Service::do_verify(Job& job) {
 }
 
 std::string Service::do_optimize(Job& job) {
-  const JsonValue request = json_parse(job.payload);
+  const JsonValue& request = job.request;
   const std::string id = require_string(request, "design");
   const auto design = store_.get(id);
   if (design == nullptr) {
@@ -500,7 +500,7 @@ std::string Service::do_optimize(Job& job) {
 }
 
 std::string Service::do_transform(Job& job) {
-  const JsonValue request = json_parse(job.payload);
+  const JsonValue& request = job.request;
   const std::string id = require_string(request, "design");
   const auto design = store_.get(id);
   if (design == nullptr) {

@@ -54,6 +54,7 @@
 #include "serve/budget.h"
 #include "serve/store.h"
 #include "sim/simulator.h"
+#include "util/json.h"
 
 namespace camad::serve {
 
@@ -114,7 +115,7 @@ class Service {
  private:
   struct Job {
     std::string op;
-    std::string payload;  ///< full request JSON
+    JsonValue request;  ///< parsed once, in handle()
     std::unique_ptr<Budget> budget;
     std::promise<std::string> response;
   };

@@ -29,7 +29,6 @@ std::string verify_key(const mc::McOptions& options) {
   key << "ms=" << options.max_states << ";tb=" << options.token_bound
       << ";g=" << (options.use_guards ? 1 : 0)
       << ";cc=" << (options.compute_concurrency ? 1 : 0)
-      << ";cf=" << (options.detect_conflicts ? 1 : 0)
       << ";tr=" << (options.collect_traces ? 1 : 0);
   return key.str();
 }

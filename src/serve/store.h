@@ -62,7 +62,7 @@ class StoredDesign {
 
   /// Memoized guard-aware model check. The cache key is the verdict-
   /// relevant option subset (max_states, token_bound, use_guards,
-  /// detect_conflicts, compute_concurrency) — threads and shards are
+  /// compute_concurrency, collect_traces) — threads and shards are
   /// excluded because mc results are thread-count invariant. Sets
   /// `*cache_hit` when a stored result was returned. A result stopped
   /// by `options.budget` is returned but not stored.

@@ -16,7 +16,7 @@ SynthesisResult synthesize(std::string_view source,
                            const SynthesisOptions& options) {
   SynthesisResult result;
   result.program = parse_program(source);
-  if (options.fold_constants) fold_constants(result.program);
+  fold_constants(result.program);
   result.serial = compile(result.program, &result.compile_stats);
 
   dcf::require_properly_designed(result.serial, options.check);

@@ -1,8 +1,9 @@
 // End-to-end synthesis driver: BDL source -> verified optimized design.
 //
 // The full CAMAD flow of Section 5:
-//   1. compile the behavioural description to the serial preliminary
-//      design (maximal resources, total order);
+//   1. fold literal subexpressions (saves units that would compute
+//      constants), then compile the behavioural description to the
+//      serial preliminary design (maximal resources, total order);
 //   2. verify it is properly designed (Def 3.2) — "formal analysis
 //      techniques can first be used ... before the synthesis process";
 //   3. run the transformation-based optimizer (merge + re-parallelize)
@@ -20,9 +21,6 @@ namespace camad::synth {
 
 struct SynthesisOptions {
   OptimizerOptions optimizer;
-  /// Fold literal subexpressions before compiling (saves units that
-  /// would compute constants).
-  bool fold_constants = true;
   ModuleLibrary library = ModuleLibrary::standard();
   dcf::CheckOptions check;
   /// Differentially simulate the final design against the serial compile.

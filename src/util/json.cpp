@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -55,19 +56,26 @@ std::string json_quote(std::string_view text) {
 
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "0";
+  // %g-style text (100 prints 1e+02) with the fewest significant digits
+  // that round-trip. The shortest round-trip form gives that count; a
+  // power of two rounded to it can land on the narrow side of its
+  // rounding interval, and then needs one digit more.
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  // Trim to the shortest representation that round-trips.
-  for (int digits = 1; digits < 17; ++digits) {
-    char probe[32];
-    std::snprintf(probe, sizeof(probe), "%.*g", digits, value);
-    double parsed = 0;
-    std::sscanf(probe, "%lf", &parsed);
-    if (parsed == value) {
-      return probe;
-    }
+  char* end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                            std::chars_format::scientific)
+                  .ptr;
+  int digits = 0;
+  for (const char* p = buffer; p != end && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
   }
-  return buffer;
+  for (;; ++digits) {
+    end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                        std::chars_format::general, digits)
+              .ptr;
+    double parsed = 0;
+    std::from_chars(buffer, end, parsed);
+    if (parsed == value) return std::string(buffer, end);
+  }
 }
 
 JsonWriter& JsonWriter::begin_object() {

@@ -105,6 +105,28 @@ TEST(Classify, NonFreeChoice) {
   EXPECT_EQ(cls.to_string(), "general");
 }
 
+TEST(Classify, WeightedArcCountsOnce) {
+  // Assembly-PT-04's shape: parts -2-> assemble and recycle -2-> parts.
+  // By distinct arcs every place has one producer and one consumer.
+  Net net;
+  const PlaceId parts = net.add_place();
+  const PlaceId machine = net.add_place();
+  const PlaceId widgets = net.add_place();
+  const TransitionId assemble = net.add_transition();
+  const TransitionId recycle = net.add_transition();
+  net.connect(parts, assemble, 2);
+  net.connect(machine, assemble);
+  net.connect(assemble, machine);
+  net.connect(assemble, widgets);
+  net.connect(widgets, recycle);
+  net.connect(recycle, parts, 2);
+  const petri::NetClass cls = petri::classify(net);
+  EXPECT_FALSE(cls.state_machine);  // assemble has two input places
+  EXPECT_TRUE(cls.marked_graph);
+  EXPECT_TRUE(cls.free_choice);
+  EXPECT_EQ(cls.to_string(), "marked-graph, free-choice");
+}
+
 TEST(Classify, CompiledDesignsAreFreeChoice) {
   for (const synth::NamedDesign& d : synth::all_designs()) {
     const dcf::System sys = synth::compile_source(std::string(d.source));

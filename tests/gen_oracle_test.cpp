@@ -87,11 +87,10 @@ TEST(Oracle, OutcomeFormatting) {
 
 TEST(Oracle, VerifyEachPipelineHoldsOnGeneratedSystems) {
   // The battery's simulation bounds: non-exhausting streams.
-  const OracleOptions oracle;
   semantics::DifferentialOptions diff;
-  diff.environments = oracle.environments;
-  diff.stream_length = oracle.stream_length;
-  diff.sim.max_cycles = oracle.max_cycles;
+  diff.environments = kOracleEnvironments;
+  diff.stream_length = kOracleStreamLength;
+  diff.sim.max_cycles = kOracleMaxCycles;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const dcf::System in = random_system(seed);

@@ -1,12 +1,14 @@
-// Generator and shrinker tests: determinism, the properly-designed-by-
-// construction guarantee quantified over a large seed range (sharded so
-// ctest -j spreads the sweep across cores), and greedy minimization.
+// Generator and shrinker tests: determinism, the pinned distribution,
+// the properly-designed-by-construction guarantee quantified over a
+// large seed range (sharded so ctest -j spreads the sweep across cores),
+// and greedy minimization.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
 #include "dcf/check.h"
+#include "dcf/io.h"
 #include "gen/program.h"
 #include "gen/shrink.h"
 #include "gen/sysgen.h"
@@ -33,10 +35,8 @@ TEST(ProgramGen, DifferentSeedsDiffer) {
 }
 
 TEST(SysGen, SameSeedSamePlan) {
-  SystemGenOptions opt;
   Rng r1(7), r2(7);
-  EXPECT_EQ(plan_to_string(random_plan(r1, opt)),
-            plan_to_string(random_plan(r2, opt)));
+  EXPECT_EQ(plan_to_string(random_plan(r1)), plan_to_string(random_plan(r2)));
 }
 
 TEST(SysGen, SameSeedSameSystem) {
@@ -47,6 +47,48 @@ TEST(SysGen, SameSeedSameSystem) {
   for (dcf::VertexId v : a.datapath().vertices()) {
     EXPECT_EQ(a.datapath().name(v), b.datapath().name(v));
   }
+}
+
+// --- pinned distribution -------------------------------------------------------
+//
+// The corpus seeds, the sweeps and the soak name inputs by seed, so a
+// seed must keep drawing the same bytes. Each pin is the FNV-1a 64 digest
+// of what seeds 1..200 draw, concatenated.
+
+constexpr std::uint64_t kPinSeeds = 200;
+
+template <typename Draw>
+std::uint64_t digest_over_seeds(Draw draw) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::uint64_t seed = 1; seed <= kPinSeeds; ++seed) {
+    for (const unsigned char c : draw(seed)) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(GenPins, ProgramSources) {
+  EXPECT_EQ(digest_over_seeds([](std::uint64_t seed) {
+              return synth::to_source(random_program(seed));
+            }),
+            0x4b0caa27f5c4a67eULL);
+}
+
+TEST(GenPins, Plans) {
+  EXPECT_EQ(digest_over_seeds([](std::uint64_t seed) {
+              Rng rng(seed);
+              return plan_to_string(random_plan(rng));
+            }),
+            0xfa81570de61479c0ULL);
+}
+
+TEST(GenPins, SavedSystems) {
+  EXPECT_EQ(digest_over_seeds([](std::uint64_t seed) {
+              return dcf::save_system(random_system(seed));
+            }),
+            0x84fb6c9852365d7cULL);
 }
 
 TEST(SysGen, PlanSizeCountsStepLeaves) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "util/bitset.h"
 #include "util/dot.h"
@@ -334,6 +339,58 @@ TEST(Lru, ShrinkingCapacityEvictsImmediately) {
   ASSERT_NE(cache.find(0), nullptr);
   ASSERT_NE(cache.find(7), nullptr);
   EXPECT_EQ(cache.find(3), nullptr);
+}
+
+/// Reference for json_number: the shortest %.{d}g (d = 1..16) that reads
+/// back exactly, else %.17g.
+std::string json_number_by_search(double value) {
+  if (!std::isfinite(value)) return "0";
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  for (int digits = 1; digits < 17; ++digits) {
+    char probe[32];
+    std::snprintf(probe, sizeof(probe), "%.*g", digits, value);
+    double parsed = 0;
+    std::sscanf(probe, "%lf", &parsed);
+    if (parsed == value) return probe;
+  }
+  return buffer;
+}
+
+TEST(JsonNumber, PrintsShortestRoundTripInGFormat) {
+  EXPECT_EQ(json_number(0.0), "0");
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(100.0), "1e+02");
+  EXPECT_EQ(json_number(1e5), "1e+05");
+  EXPECT_EQ(json_number(1234567.0), "1234567");
+  EXPECT_EQ(json_number(12345678901234567.0), "12345678901234568");
+  EXPECT_EQ(json_number(0.1), "0.1");
+  EXPECT_EQ(json_number(5e-324), "5e-324");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::max()),
+            "1.7976931348623157e+308");
+  // A power of two whose nearest 16-digit rounding does not read back.
+  EXPECT_EQ(json_number(std::ldexp(1.0, -1017)), "7.1202363472230444e-307");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "0");
+}
+
+TEST(JsonNumber, MatchesTheDigitSearchOnASeededSample) {
+  Rng rng(20260);
+  std::vector<double> sample;
+  for (int e = -1074; e <= 1023; ++e) sample.push_back(std::ldexp(1.0, e));
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t bits = rng.next();
+    double value = 0;
+    std::memcpy(&value, &bits, sizeof(value));
+    sample.push_back(value);
+    const double scaled = rng.uniform() * 1e6;
+    sample.push_back(scaled);
+    sample.push_back(std::round(scaled * 1000) / 1000);
+  }
+  for (const double value : sample) {
+    ASSERT_EQ(json_number(value), json_number_by_search(value))
+        << std::hexfloat << value;
+  }
 }
 
 TEST(JsonParse, ParsesNestedDocumentPreservingOrder) {

@@ -31,6 +31,8 @@
 #include <vector>
 
 #include "gen/oracle.h"
+#include "gen/program.h"
+#include "gen/sysgen.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "util/error.h"
@@ -151,13 +153,10 @@ int cmd_seed(const Args& args, obs::MetricsRegistry& metrics) {
   if (args.flag("--print")) {
     for (const gen::OracleLevel level : levels_from(args)) {
       if (level == gen::OracleLevel::kProgram) {
-        std::cout << synth::to_source(
-            gen::random_program(seed, options.program));
+        std::cout << synth::to_source(gen::random_program(seed));
       } else {
         Rng rng(seed);
-        std::cout << gen::plan_to_string(
-                         gen::random_plan(rng, options.system))
-                  << '\n';
+        std::cout << gen::plan_to_string(gen::random_plan(rng)) << '\n';
       }
     }
     return 0;
