@@ -1,8 +1,9 @@
 // Serving benchmark: requests/sec and client-observed latency of an
 // in-process camadd (Service + real TCP Server) at 1 / 8 / 64
-// concurrent clients, with every engine response byte-compared against
-// a fresh single-worker oracle Service — a perf number only counts if
-// the concurrent answers are bit-identical to the one-shot answers.
+// concurrent clients sending loadgen's bench mix (tools/loadgen.h), with
+// every engine response byte-compared against a fresh single-worker
+// oracle Service — a perf number only counts if the concurrent answers
+// are bit-identical to the one-shot answers.
 //
 // Emits schema-v2 BENCH_serve.json via --json[=PATH]:
 //   requests_per_second      higher-better, gated by bench_diff
@@ -18,209 +19,28 @@
 // Unlike the sibling benches this one has no google-benchmark mode:
 // the sweep *is* the benchmark, and --json is how CI consumes it.
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json_out.h"
+#include "loadgen.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "synth/designs.h"
 #include "util/json.h"
 
 namespace camad {
 namespace {
 
-constexpr const char* kGcdSource = R"(design gcd {
-  in a, b;
-  out g;
-  var x, y;
-  begin
-    x := a;
-    y := b;
-    while x != y {
-      if x > y {
-        x := x - y;
-      } else {
-        y := y - x;
-      }
-    }
-    g := x;
-  end
-}
-)";
-
-constexpr const char* kSumSource = R"(design sum3 {
-  in a, b, c;
-  out s;
-  var t;
-  begin
-    t := a + b;
-    s := t + c;
-  end
-}
-)";
-
-constexpr std::uint64_t kSeed = 0x5eedf00d;
 constexpr std::size_t kRequestsPerClient = 32;
-
-std::uint64_t splitmix(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::string upload_request(const char* source) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object().kv("op", "upload").kv("source", source).end_object();
-  return os.str();
-}
-
-/// The deterministic request mix, a function of (client, index) only —
-/// the same request set is replayed at every client count, so the
-/// oracle map is computed once.
-std::string request_for(const std::vector<std::string>& designs,
-                        std::size_t client, std::size_t index) {
-  std::uint64_t state = kSeed ^ (client * 0x9e3779b97f4a7c15ULL + index);
-  const std::uint64_t word = splitmix(state);
-  const std::string& id = designs[word % designs.size()];
-  const std::uint64_t kind = (word >> 8) % 10;
-  std::ostringstream os;
-  JsonWriter w(os);
-  if (kind < 4) {
-    w.begin_object()
-        .kv("op", "simulate")
-        .kv("design", id)
-        .kv("seed", 1 + ((word >> 16) % 4))
-        .kv("max_cycles", static_cast<std::uint64_t>(2000))
-        .kv("max_events", static_cast<std::uint64_t>(16))
-        .end_object();
-  } else if (kind < 7) {
-    w.begin_object().kv("op", "verify").kv("design", id).end_object();
-  } else if (kind < 9) {
-    w.begin_object()
-        .kv("op", "transform")
-        .kv("design", id)
-        .kv("passes", "parallelize,cleanup")
-        .end_object();
-  } else {
-    return upload_request((word & 1) != 0 ? kGcdSource : kSumSource);
-  }
-  return os.str();
-}
-
-/// One TCP client connection speaking the frame protocol.
-class Connection {
- public:
-  explicit Connection(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-  ~Connection() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  Connection(const Connection&) = delete;
-  Connection& operator=(const Connection&) = delete;
-
-  [[nodiscard]] bool ok() const { return fd_ >= 0; }
-
-  /// One request/response round trip; empty string on transport error.
-  std::string call(const std::string& request) {
-    if (fd_ < 0 || !serve::write_frame(fd_, request)) return {};
-    std::string payload;
-    if (serve::read_frame(fd_, payload) != serve::FrameStatus::kOk) {
-      return {};
-    }
-    return payload;
-  }
-
- private:
-  int fd_ = -1;
-};
-
-struct SweepResult {
-  std::size_t requests = 0;
-  std::size_t wrong = 0;
-  double seconds = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-};
-
-double quantile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto index = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(index, sorted.size() - 1)];
-}
-
-SweepResult run_sweep(std::uint16_t port, std::size_t clients,
-                      const std::vector<std::string>& designs,
-                      const std::map<std::string, std::string>& oracle) {
-  std::vector<std::vector<double>> latencies(clients);
-  std::atomic<std::size_t> wrong{0};
-  std::atomic<std::size_t> failed{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      Connection conn(port);
-      if (!conn.ok()) {
-        failed += kRequestsPerClient;
-        return;
-      }
-      for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
-        const std::string request = request_for(designs, c, i);
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::string response = conn.call(request);
-        const auto t1 = std::chrono::steady_clock::now();
-        latencies[c].push_back(
-            std::chrono::duration<double>(t1 - t0).count());
-        if (response.empty()) {
-          ++failed;
-        } else if (oracle.at(request) != response) {
-          ++wrong;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  SweepResult out;
-  out.requests = clients * kRequestsPerClient;
-  out.wrong = wrong.load() + failed.load();
-  out.seconds = std::chrono::duration<double>(end - start).count();
-  std::vector<double> all;
-  for (const auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  out.p50 = quantile(all, 0.5);
-  out.p99 = quantile(all, 0.99);
-  return out;
-}
+constexpr std::size_t kMaxClients = 64;
 
 /// Saturates a one-worker / one-slot service and checks it rejects with
 /// "overloaded" instead of stalling. Returns true when at least one
@@ -230,9 +50,8 @@ bool backpressure_probe() {
   options.workers = 1;
   options.queue_capacity = 1;
   serve::Service service(options);
-  const JsonValue uploaded =
-      json_parse(service.handle(upload_request(kGcdSource)));
-  const std::string id = uploaded.find("result")->find("design")->string;
+  const std::string id = loadgen::uploaded_id(
+      service.handle(loadgen::upload_request(synth::gcd_source())));
 
   std::ostringstream os;
   JsonWriter w(os);
@@ -268,39 +87,24 @@ int run(const std::string& json_path) {
   std::thread serving([&] { server.serve(); });
 
   // Uploads happen once, up front, over the wire.
-  std::vector<std::string> designs;
+  loadgen::Mix mix = loadgen::bench_mix();
   {
-    Connection setup(server.port());
-    if (!setup.ok()) {
-      std::cerr << "bench_serve: cannot connect\n";
+    loadgen::Client setup(server.port());
+    if (!setup.ok() || !loadgen::upload(setup, mix)) {
+      std::cerr << "bench_serve: set-up failed\n";
       server.stop();
       serving.join();
       return 1;
     }
-    for (const char* source : {kGcdSource, kSumSource}) {
-      const JsonValue v = json_parse(setup.call(upload_request(source)));
-      designs.push_back(v.find("result")->find("design")->string);
-    }
   }
-
-  // Oracle: a fresh single-worker service answers every distinct
-  // request once; those are the reference bytes.
-  std::map<std::string, std::string> oracle;
-  {
-    serve::ServiceOptions oracle_options;
-    oracle_options.workers = 1;
-    serve::Service one_shot(oracle_options);
-    for (const char* source : {kGcdSource, kSumSource}) {
-      (void)one_shot.handle(upload_request(source));
-    }
-    for (std::size_t c = 0; c < 64; ++c) {
-      for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
-        const std::string request = request_for(designs, c, i);
-        if (oracle.find(request) == oracle.end()) {
-          oracle.emplace(request, one_shot.handle(request));
-        }
-      }
-    }
+  // A request is a function of (client, index) only, so the oracle
+  // answers of the widest sweep cover every sweep.
+  const auto oracle =
+      loadgen::oracle_answers(mix, kMaxClients, kRequestsPerClient);
+  if (!oracle) {
+    server.stop();
+    serving.join();
+    return 1;
   }
 
   bench::BenchJson json(json_path, "serve", "requests_per_second");
@@ -310,35 +114,38 @@ int run(const std::string& json_path) {
             static_cast<std::uint64_t>(kRequestsPerClient));
 
   bool ok = true;
-  for (const std::size_t clients : {1UL, 8UL, 64UL}) {
+  for (const std::size_t clients : {std::size_t{1}, std::size_t{8},
+                                    kMaxClients}) {
     // Best of three, like bench_mc: the throughput curve, not
-    // scheduler noise. Responses are byte-checked on every repeat.
-    SweepResult r = run_sweep(server.port(), clients, designs, oracle);
-    for (int rep = 0; rep < 2; ++rep) {
-      SweepResult again = run_sweep(server.port(), clients, designs,
-                                    oracle);
-      again.wrong += r.wrong;
-      if (again.seconds < r.seconds) {
-        r = again;
-      } else {
-        r.wrong = again.wrong;
-      }
+    // scheduler noise. Responses are byte-checked on every repeat; any
+    // response that is not the oracle's counts as wrong.
+    std::uint64_t wrong = 0;
+    loadgen::LoadResult best;
+    for (int rep = 0; rep < 3; ++rep) {
+      loadgen::LoadResult r = loadgen::run_clients(
+          server.port(), mix, clients, kRequestsPerClient, &*oracle);
+      wrong += r.requests() - r.ok;
+      if (rep == 0 || r.seconds < best.seconds) best = std::move(r);
     }
     const double rate =
-        r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds : 0.0;
+        best.seconds > 0
+            ? static_cast<double>(best.requests()) / best.seconds
+            : 0.0;
+    const double p50 = loadgen::quantile(best.latencies, 0.5);
+    const double p99 = loadgen::quantile(best.latencies, 0.99);
     std::cout << "BENCH_serve clients=" << clients << ": "
               << bench::rounded(rate, 1) << " req/s, p50 "
-              << bench::rounded(r.p50 * 1e3, 3) << " ms, p99 "
-              << bench::rounded(r.p99 * 1e3, 3) << " ms, " << r.wrong
+              << bench::rounded(p50 * 1e3, 3) << " ms, p99 "
+              << bench::rounded(p99 * 1e3, 3) << " ms, " << wrong
               << " wrong\n";
-    if (r.wrong != 0) ok = false;
+    if (wrong != 0) ok = false;
     json.begin_design("clients_" + std::to_string(clients))
         .field("clients", static_cast<std::uint64_t>(clients))
-        .field("requests", static_cast<std::uint64_t>(r.requests))
-        .field("wrong_responses", static_cast<std::uint64_t>(r.wrong))
+        .field("requests", best.requests())
+        .field("wrong_responses", wrong)
         .field("requests_per_second", bench::rounded(rate, 1))
-        .field("p50_seconds", bench::rounded(r.p50, 6))
-        .field("p99_seconds", bench::rounded(r.p99, 6))
+        .field("p50_seconds", bench::rounded(p50, 6))
+        .field("p99_seconds", bench::rounded(p99, 6))
         .end_design();
   }
 

@@ -3,6 +3,10 @@
 #include <vector>
 
 #include "dcf/builder.h"
+#include "dcf/io.h"
+#include "petri/pnml.h"
+#include "synth/compile.h"
+#include "util/strings.h"
 
 namespace camad::gen {
 namespace {
@@ -60,6 +64,21 @@ dcf::System lift_control_net(const petri::Net& control,
   }
 
   return b.build(name);
+}
+
+dcf::System parse_design_text(const std::string& text,
+                              const std::string& fallback_name) {
+  const std::string_view trimmed = trim(text);
+  if (starts_with(trimmed, "camad-system")) {
+    return dcf::load_system(text);
+  }
+  if (starts_with(trimmed, "<")) {
+    const petri::PnmlImport imported = petri::from_pnml(text);
+    const std::string name =
+        !imported.net_id.empty() ? imported.net_id : fallback_name;
+    return lift_control_net(imported.net, LiftOptions{}, name);
+  }
+  return synth::compile_source(text);
 }
 
 }  // namespace camad::gen

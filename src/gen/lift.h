@@ -39,4 +39,12 @@ dcf::System lift_control_net(const petri::Net& control,
                              const LiftOptions& options = {},
                              const std::string& name = "imported");
 
+/// Loads a design from file text: a saved `camad-system v1` file, a PNML
+/// net (text starting with '<') lifted with the default stub and named by
+/// its net id, or `fallback_name` when it has none, or else BDL source.
+/// Throws camad::Error / ParseError on malformed input. camadc and
+/// camadd's upload both load through it.
+dcf::System parse_design_text(const std::string& text,
+                              const std::string& fallback_name);
+
 }  // namespace camad::gen

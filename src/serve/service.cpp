@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "gen/lift.h"
 #include "serve/protocol.h"
 #include "sim/batch.h"
 #include "sim/environment.h"
@@ -258,7 +259,7 @@ std::string Service::do_upload(Job& job) {
   }
   dcf::System system;
   try {
-    system = parse_design_text(source, name);
+    system = gen::parse_design_text(source, name);
   } catch (const std::exception& e) {
     bad_request(std::string("cannot parse design: ") + e.what());
   }

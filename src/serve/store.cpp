@@ -3,11 +3,7 @@
 #include <sstream>
 #include <utility>
 
-#include "gen/lift.h"
-#include "petri/pnml.h"
-#include "synth/compile.h"
 #include "synth/design_hash.h"
-#include "dcf/io.h"
 #include "util/strings.h"
 
 namespace camad::serve {
@@ -34,21 +30,6 @@ std::string verify_key(const mc::McOptions& options) {
 }
 
 }  // namespace
-
-dcf::System parse_design_text(const std::string& text,
-                              const std::string& fallback_name) {
-  const std::string_view trimmed = trim(text);
-  if (starts_with(trimmed, "camad-system")) {
-    return dcf::load_system(text);
-  }
-  if (starts_with(trimmed, "<")) {
-    const petri::PnmlImport imported = petri::from_pnml(text);
-    const std::string name =
-        !imported.net_id.empty() ? imported.net_id : fallback_name;
-    return gen::lift_control_net(imported.net, gen::LiftOptions{}, name);
-  }
-  return synth::compile_source(text);
-}
 
 StoredDesign::StoredDesign(std::string id, std::uint64_t hash,
                            dcf::System system)

@@ -35,14 +35,6 @@
 
 namespace camad::serve {
 
-/// Parses BDL source, a saved `camad-system v1` file, or a PNML net
-/// (text starting with '<' — lifted with a register-per-state stub,
-/// exactly like `camadc verify` on a .pnml path). Throws camad::Error /
-/// ParseError on malformed input. `fallback_name` names PNML imports
-/// with an empty net id.
-dcf::System parse_design_text(const std::string& text,
-                              const std::string& fallback_name);
-
 /// One immutable stored design and its shared caches.
 class StoredDesign {
  public:

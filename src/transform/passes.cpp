@@ -193,36 +193,10 @@ semantics::PreservedAnalyses PassPipeline::preserves() const {
 }
 
 dcf::System PassPipeline::run(const dcf::System& initial) {
-  stats_.clear();
-  cache_stats_ = {};
-  provenance_.clear();
-  dcf::System current = initial;
-  semantics::AnalysisCache cache(current);
-  for (const std::unique_ptr<Pass>& pass : passes_) {
-    PassStats record;
-    record.name = std::string(pass->name());
-    record.states_before = current.control().state_count();
-    record.vertices_before = current.datapath().vertex_count();
-    const auto t0 = std::chrono::steady_clock::now();
-    dcf::System next;
-    {
-      const obs::ObsSpan span("pass.", record.name);
-      next = pass->run(current, cache);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    record.seconds = std::chrono::duration<double>(t1 - t0).count();
-    record.states_after = next.control().state_count();
-    record.vertices_after = next.datapath().vertex_count();
-    record.counters = pass->counters();
-    provenance_.push_back({record.name, record.counters});
-    stats_.push_back(std::move(record));
-    cache_stats_ += cache.stats();
-    current = std::move(next);
-    cache = cache.successor(current, pass->preserves());
-  }
-  // The final successor holds transfer counts not yet folded in.
+  const semantics::AnalysisCache cache(initial);
+  dcf::System out = run(initial, cache);
   cache_stats_ += cache.stats();
-  return current;
+  return out;
 }
 
 dcf::System PassPipeline::run(const dcf::System& initial,

@@ -70,7 +70,9 @@ class PassPipeline {
 
   /// Runs the passes in order, threading an AnalysisCache through the
   /// sequence: after each pass the analyses it declared preserved carry
-  /// into the next pass's cache. Fills stats().
+  /// into the next pass's cache. Fills stats(). This is the seeded run
+  /// below on a fresh cache bound to `initial`, whose counters
+  /// cache_stats() includes.
   [[nodiscard]] dcf::System run(const dcf::System& initial);
 
   /// Same, but the *first* pass reads `seed` — an external long-lived

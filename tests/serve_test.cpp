@@ -5,7 +5,6 @@
 // budget-cancelled engine runs returning well-formed partial results.
 
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "fixtures.h"
+#include "loadgen.h"
 #include "serve/budget.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -30,24 +30,7 @@
 namespace camad::serve {
 namespace {
 
-constexpr const char* kGcdSource = R"(design gcd {
-  in a, b;
-  out g;
-  var x, y;
-  begin
-    x := a;
-    y := b;
-    while x != y {
-      if x > y {
-        x := x - y;
-      } else {
-        y := y - x;
-      }
-    }
-    g := x;
-  end
-}
-)";
+using loadgen::upload_request;
 
 // ---------------------------------------------------------------------
 // Framing
@@ -217,17 +200,11 @@ TEST(DesignStore, BudgetCutResultsAreNeverCached) {
 // ---------------------------------------------------------------------
 // Service
 
-std::string upload_request(const std::string& source) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object().kv("op", "upload").kv("source", source).end_object();
-  return os.str();
-}
-
-std::string design_id(Service& service, const std::string& source) {
-  const JsonValue v = json_parse(service.handle(upload_request(source)));
-  EXPECT_TRUE(v.find("ok")->boolean) << "upload failed";
-  return v.find("result")->find("design")->string;
+std::string design_id(Service& service, std::string_view source) {
+  const std::string id =
+      loadgen::uploaded_id(service.handle(upload_request(source)));
+  EXPECT_FALSE(id.empty()) << "upload failed";
+  return id;
 }
 
 TEST(Service, EndpointsAnswerAndUnknownsAreRejected) {
@@ -249,7 +226,7 @@ TEST(Service, EndpointsAnswerAndUnknownsAreRejected) {
   EXPECT_EQ(missing.find("error")->find("code")->string, kErrUnknownDesign);
 
   // "sparse" named a plan engine that no longer exists.
-  const std::string id = design_id(service, kGcdSource);
+  const std::string id = design_id(service, synth::gcd_source());
   const JsonValue engine = json_parse(service.handle(
       "{\"op\":\"simulate\",\"design\":\"" + id +
       "\",\"engine\":\"sparse\"}"));
@@ -266,7 +243,7 @@ TEST(Service, ConcurrentResponsesAreBitIdenticalToSerialOracle) {
   ServiceOptions options;
   options.workers = 4;
   Service service(options);
-  const std::string id = design_id(service, kGcdSource);
+  const std::string id = design_id(service, synth::gcd_source());
 
   const auto request_for = [&](std::size_t index) -> std::string {
     std::ostringstream os;
@@ -316,7 +293,7 @@ TEST(Service, ConcurrentResponsesAreBitIdenticalToSerialOracle) {
   ServiceOptions oracle_options;
   oracle_options.workers = 1;
   Service oracle(oracle_options);
-  ASSERT_EQ(design_id(oracle, kGcdSource), id);
+  ASSERT_EQ(design_id(oracle, synth::gcd_source()), id);
   for (std::size_t t = 0; t < kThreads; ++t) {
     for (std::size_t i = 0; i < kPerThread; ++i) {
       EXPECT_EQ(responses[t][i], oracle.handle(request_for(t + i)))
@@ -397,7 +374,7 @@ TEST(Service, FullQueueRejectsWithOverloadedInsteadOfStalling) {
   options.workers = 1;
   options.queue_capacity = 1;
   Service service(options);
-  const std::string id = design_id(service, kGcdSource);
+  const std::string id = design_id(service, synth::gcd_source());
 
   // Occupy the single worker with a long simulate (bounded by its own
   // deadline so the test cannot hang even if flooding goes wrong). With
@@ -453,7 +430,7 @@ TEST(Service, FullQueueRejectsWithOverloadedInsteadOfStalling) {
 // result (never an error): the wire-level face of the budget contract.
 TEST(Service, DeadlinedOptimizeAnswersWithPartialResult) {
   Service service(ServiceOptions{});
-  const std::string id = design_id(service, kGcdSource);
+  const std::string id = design_id(service, synth::gcd_source());
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object()
@@ -471,7 +448,7 @@ TEST(Service, DeadlinedOptimizeAnswersWithPartialResult) {
 
 TEST(Service, ShutdownRejectsNewWork) {
   Service service(ServiceOptions{});
-  const std::string id = design_id(service, kGcdSource);
+  const std::string id = design_id(service, synth::gcd_source());
   service.shutdown();
   const JsonValue v = json_parse(
       service.handle("{\"op\":\"verify\",\"design\":\"" + id + "\"}"));
@@ -488,31 +465,38 @@ TEST(Server, AnswersOverTcpAndDrainsOnStop) {
   ASSERT_GT(server.port(), 0);
   std::thread serving([&] { server.serve(); });
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-
-  ASSERT_TRUE(write_frame(fd, upload_request(kGcdSource)));
-  std::string payload;
-  ASSERT_EQ(read_frame(fd, payload), FrameStatus::kOk);
-  const JsonValue uploaded = json_parse(payload);
-  ASSERT_TRUE(uploaded.find("ok")->boolean);
-  const std::string id = uploaded.find("result")->find("design")->string;
-
-  ASSERT_TRUE(
-      write_frame(fd, "{\"op\":\"verify\",\"design\":\"" + id + "\"}"));
-  ASSERT_EQ(read_frame(fd, payload), FrameStatus::kOk);
-  EXPECT_TRUE(json_parse(payload).find("ok")->boolean);
+  loadgen::Client client(server.port());
+  ASSERT_TRUE(client.ok());
+  const std::string id = loadgen::uploaded_id(
+      client.call(upload_request(synth::gcd_source())));
+  ASSERT_FALSE(id.empty());
+  EXPECT_TRUE(loadgen::response_ok(
+      client.call("{\"op\":\"verify\",\"design\":\"" + id + "\"}")));
 
   server.stop();
   serving.join();
-  ::close(fd);
+}
+
+// ---------------------------------------------------------------------
+// Load generator
+
+// bench_serve's 64 x 32 request sequence, with placeholder design ids:
+// the FNV-1a 64 digest of every request (op, design, parameters) in
+// (client, index) order. BENCH_serve's baseline was recorded on it, so
+// a change to the mix must re-record the baseline.
+TEST(LoadMix, BenchServeSequenceIsPinned) {
+  loadgen::Mix mix = loadgen::bench_mix();
+  mix.ids = {"dA", "dB"};
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t c = 0; c < 64; ++c) {
+    for (std::size_t i = 0; i < 32; ++i) {
+      for (const unsigned char ch : loadgen::request_for(mix, c, i) + '\n') {
+        h ^= ch;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x3873bdc27e4bfb48ULL);
 }
 
 }  // namespace

@@ -341,27 +341,10 @@ std::string file_stem(const std::string& path) {
   return stem.empty() ? "imported" : stem;
 }
 
-/// Imports a PNML document as a System: control net from the file, data
-/// path synthesized by gen::lift_control_net.
-dcf::System lift_pnml(const std::string& text, const std::string& path,
-                      const gen::LiftOptions& options) {
-  const petri::PnmlImport imported = petri::from_pnml(text);
-  const std::string name =
-      !imported.net_id.empty() ? imported.net_id : file_stem(path);
-  return gen::lift_control_net(imported.net, options, name);
-}
-
-/// Loads BDL source, a saved `camad-system v1` file, or a PNML net
-/// (anything starting with '<').
+/// Loads a design file through gen::parse_design_text, naming a PNML net
+/// without an id after the file.
 dcf::System load_any(const std::string& path) {
-  const std::string text = read_file(path);
-  if (starts_with(trim(text), "camad-system")) {
-    return dcf::load_system(text);
-  }
-  if (starts_with(trim(text), "<")) {
-    return lift_pnml(text, path, gen::LiftOptions{});
-  }
-  return synth::compile_source(text);
+  return gen::parse_design_text(read_file(path), file_stem(path));
 }
 
 int cmd_check(const Args& args) {
@@ -686,8 +669,8 @@ int cmd_verify(const Args& args) {
 
   // The check runs through an AnalysisCache (with the CLI's checker
   // configuration threaded in) so verify reports the same engine-summary
-  // line as sim/optimize — and exercises exactly the shared-cache path
-  // the camadd service uses.
+  // line as sim/optimize. camadd's verify does not come this way: it
+  // reads StoredDesign::verify's per-options memo.
   const semantics::AnalysisCache cache(system, {}, options);
   const mc::McResult& result = cache.model_check();
 
