@@ -8,6 +8,13 @@
 //   * cod(S)  — vertices with an input port on a controlled arc;
 //   * R(S)    — sequential subset of cod(S), the state's result set
 //               (Def 4.2).
+//
+// A built System is immutable except for its name. It holds D and the
+// control part (S, T, F, C, G, M0) as shared parts, so a copy shares
+// both, and each transformation class shares the half it leaves alone:
+// a data-invariant rebuild (Thm 4.1) returns with_control(), a new
+// control net over this data path; a vertex merger (Thm 4.2) returns
+// with_datapath(), a new data path under a copy of this control net.
 #pragma once
 
 #include <memory>
@@ -21,13 +28,17 @@ namespace camad::dcf {
 
 class System {
  public:
+  /// The empty system. Like a moved-from System, it holds no parts and
+  /// allocates nothing; its accessors return empty ones.
   System() = default;
   System(DataPath datapath, ControlNet control, std::string name = "system");
 
-  [[nodiscard]] const DataPath& datapath() const { return datapath_; }
-  [[nodiscard]] DataPath& datapath() { return datapath_; }
-  [[nodiscard]] const ControlNet& control() const { return control_; }
-  [[nodiscard]] ControlNet& control() { return control_; }
+  [[nodiscard]] const DataPath& datapath() const {
+    return datapath_ != nullptr ? *datapath_ : empty_datapath();
+  }
+  [[nodiscard]] const ControlNet& control() const {
+    return control_ != nullptr ? *control_ : empty_control();
+  }
   [[nodiscard]] const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
@@ -58,10 +69,19 @@ class System {
   [[nodiscard]] System with_datapath(DataPath datapath,
                                      const std::vector<PortId>& port_map) const;
 
+  /// The data-invariant rebuild (Defs 4.3-4.5, Thm 4.1): `control` over
+  /// this system's data path, which the result shares. `control` must
+  /// refer only to this data path's arcs and output ports. The result is
+  /// validated.
+  [[nodiscard]] System with_control(ControlNet control) const;
+
  private:
+  static const DataPath& empty_datapath();
+  static const ControlNet& empty_control();
+
   std::string name_ = "system";
-  DataPath datapath_;
-  ControlNet control_;
+  std::shared_ptr<const DataPath> datapath_;
+  std::shared_ptr<const ControlNet> control_;
 };
 
 }  // namespace camad::dcf

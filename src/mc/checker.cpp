@@ -382,8 +382,12 @@ struct Search {
         pc.mc_updates.fetch_add(1, std::memory_order_relaxed);
       }
 
-      const std::size_t chunk_size =
-          std::max<std::size_t>(1, frontier_refs.size() / (workers * 8));
+      // Eight chunks per worker balance the load; one worker runs the
+      // level as one chunk, since each chunk ends by flushing every
+      // non-empty outbox.
+      const std::size_t chunks_per_level = workers == 1 ? 1 : workers * 8;
+      const std::size_t chunk_size = std::max<std::size_t>(
+          1, frontier_refs.size() / chunks_per_level);
       const std::size_t chunks =
           (frontier_refs.size() + chunk_size - 1) / chunk_size;
       sim::parallel_jobs(

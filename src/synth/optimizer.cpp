@@ -35,15 +35,29 @@ double objective_of(const Metrics& m, const Metrics& baseline, double lambda) {
   return lambda * area_norm + (1.0 - lambda) * time_norm;
 }
 
+constexpr std::size_t kNoPair = std::numeric_limits<std::size_t>::max();
+
 /// One evaluated search candidate: a serial master, its derived
-/// schedule, and the schedule's measured cost.
+/// schedule, and the schedule's measured cost. An empty slot holds
+/// kNoPair and an infinite objective.
 struct Candidate {
   dcf::System master;
   dcf::System scheduled;
   Metrics metrics;
   double objective = std::numeric_limits<double>::infinity();
+  std::size_t pair = kNoPair;  ///< index into the sweep's mergeable pairs
   sim::SimStats sim_stats;
 };
+
+/// The greedy sweep's selection rule, a strict total order: the lower
+/// objective wins, then the lower pair index. An empty slot takes no
+/// tie, so neither NaN nor +inf ever wins, as in a serial scan that
+/// keeps the first strict minimum.
+bool ranks_before(const Candidate& c, const Candidate& slot) {
+  if (c.objective < slot.objective) return true;
+  return c.objective == slot.objective && slot.pair != kNoPair &&
+         c.pair < slot.pair;
+}
 
 /// Marks an accepted move on the trace timeline (no-op when disabled).
 void trace_accept(const std::string& description, double objective) {
@@ -102,51 +116,54 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
     const obs::ObsSpan sweep_span("optimize.sweep", [&] {
       return "{\"step\":" + std::to_string(step) + "}";
     });
-    const auto pairs = transform::mergeable_pairs(master, cache);
+    const auto pairs = [&] {
+      const obs::ObsSpan enumerate_span("optimize.enumerate");
+      return transform::mergeable_pairs(master, cache);
+    }();
     if (pairs.empty()) break;
 
     // Every worker reads order/concurrency through the shared cache —
     // force them now so first touch doesn't serialize the fan-out.
     cache.warm_control();
 
-    std::vector<Candidate> candidates(pairs.size());
+    // Each worker keeps its best candidate by ranks_before and frees
+    // every other one in the job that built it. The rule is a strict
+    // total order, so the best of the workers' bests is the serial
+    // sweep's winner whatever the thread count.
+    const std::size_t workers =
+        sim::resolve_worker_count(pairs.size(), options.eval_threads);
+    std::vector<Candidate> kept(workers);
+    std::vector<sim::SimStats> worker_stats(workers);
     sim::parallel_jobs(
-        pairs.size(), options.eval_threads,
-        [&](std::size_t /*worker*/, std::size_t i) {
+        pairs.size(), workers, [&](std::size_t worker, std::size_t i) {
           const obs::ObsSpan candidate_span("optimize.candidate", [&] {
             return "{\"pair\":" + std::to_string(i) + "}";
           });
-          Candidate& c = candidates[i];
+          Candidate c;
+          c.pair = i;
           c.master = transform::merge_vertices(master, pairs[i].first,
                                                pairs[i].second, cache);
           // The merged system is a different net object per candidate:
           // its schedule cannot reuse the master's cache.
           c.scheduled = derive_schedule(c.master);
           c.metrics = evaluate(c.scheduled, lib, options.measure,
-                               &c.sim_stats);
+                               &worker_stats[worker]);
           c.objective = objective_of(c.metrics, baseline,
                                      options.area_weight);
+          if (ranks_before(c, kept[worker])) kept[worker] = std::move(c);
         });
-    for (const Candidate& c : candidates) result.sim_stats += c.sim_stats;
-    result.candidates_evaluated += candidates.size();
-
-    // Deterministic selection: minimum objective, earliest pair index on
-    // ties — exactly the serial sweep's acceptance rule, so thread count
-    // never changes the search trajectory.
-    std::size_t winner = pairs.size();
-    double winner_objective = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (candidates[i].objective < winner_objective) {
-        winner_objective = candidates[i].objective;
-        winner = i;
-      }
+    for (const sim::SimStats& stats : worker_stats) result.sim_stats += stats;
+    result.candidates_evaluated += pairs.size();
+    Candidate* winner = &kept.front();
+    for (Candidate& c : kept) {
+      if (ranks_before(c, *winner)) winner = &c;
     }
 
-    if (winner == pairs.size() ||
-        winner_objective >= best_objective - 1e-12) {
+    if (winner->pair == kNoPair ||
+        winner->objective >= best_objective - 1e-12) {
       break;  // no improving merger
     }
-    Candidate& accepted = candidates[winner];
+    Candidate& accepted = *winner;
 
     if (options.verify_steps) {
       const semantics::EquivalenceVerdict verdict =
@@ -159,15 +176,15 @@ OptimizerResult optimize(const dcf::System& serial, const ModuleLibrary& lib,
 
     const auto& dp = master.datapath();
     result.steps.push_back(
-        {"merge " + dp.name(pairs[winner].first) + " into " +
-             dp.name(pairs[winner].second),
+        {"merge " + dp.name(pairs[accepted.pair].first) + " into " +
+             dp.name(pairs[accepted.pair].second),
          accepted.metrics, accepted.objective});
     trace_accept(result.steps.back().description, accepted.objective);
     master = std::move(accepted.master);
     result.analysis_stats += cache.stats();
     cache = cache.successor(master, transform::merge_preserved_analyses());
     best = std::move(accepted.scheduled);
-    best_objective = winner_objective;
+    best_objective = accepted.objective;
     ++result.merges_applied;
   }
 
@@ -430,10 +447,13 @@ ParetoResult optimize_pareto(const dcf::System& serial,
     }
     std::vector<Action> actions;
     std::vector<std::size_t> active;  // beam indices expanded this gen
-    for (std::size_t i = 0; i < beam.size(); ++i) {
-      if (!expanded_designs.insert(beam[i].hash).second) continue;
-      active.push_back(i);
-      enumerate_actions(beam[i], i, actions);
+    {
+      const obs::ObsSpan enumerate_span("pareto.enumerate");
+      for (std::size_t i = 0; i < beam.size(); ++i) {
+        if (!expanded_designs.insert(beam[i].hash).second) continue;
+        active.push_back(i);
+        enumerate_actions(beam[i], i, actions);
+      }
     }
     const obs::ObsSpan gen_span("pareto.generation", [&] {
       return "{\"generation\":" + std::to_string(gen) +
@@ -480,12 +500,15 @@ ParetoResult optimize_pareto(const dcf::System& serial,
         });
 
     std::vector<std::size_t> fresh;
-    for (std::size_t j = 0; j < actions.size(); ++j) {
-      if (!explored.insert(expanded[j].hash).second) {
-        ++result.dedup_hits;
-        continue;
+    {
+      const obs::ObsSpan reduce_span("pareto.reduce");
+      for (std::size_t j = 0; j < actions.size(); ++j) {
+        if (!explored.insert(expanded[j].hash).second) {
+          ++result.dedup_hits;
+          continue;
+        }
+        fresh.push_back(j);
       }
-      fresh.push_back(j);
     }
     if (session != nullptr) {
       session->counter("pareto.dedup_hits",
@@ -493,9 +516,17 @@ ParetoResult optimize_pareto(const dcf::System& serial,
     }
     // Nothing new reachable from this beam: the next generation would
     // enumerate the identical action set, so the search has converged.
-    if (fresh.empty()) break;
+    if (fresh.empty()) {
+      const obs::ObsSpan release_span("pareto.release");
+      std::vector<Expansion>().swap(expanded);
+      break;
+    }
 
     // Phase B — derive + measure the surviving successors in parallel.
+    // A job drops its schedule when the frontier as this generation
+    // found it already weakly dominates the point: the reduction below
+    // only adds to the dominated region, so it would reject the point
+    // too, and the schedule is freed on the worker that built it.
     struct Measured {
       dcf::System scheduled;
       Metrics metrics;
@@ -512,170 +543,185 @@ ParetoResult optimize_pareto(const dcf::System& serial,
           m.scheduled = derive_schedule(*expanded[fresh[k]].master);
           m.metrics =
               evaluate(m.scheduled, lib, options.measure, &m.sim_stats);
+          if (frontier.dominates(m.metrics.area, m.metrics.time_ns)) {
+            m.scheduled = dcf::System();
+          }
         });
     for (const Measured& m : measured) result.sim_stats += m.sim_stats;
     result.candidates_evaluated += fresh.size();
 
     // Serial reduction in job order: frontier insertion + survivor
     // records for beam selection.
-    struct Survivor {
-      std::size_t job = 0;
-      double area_norm = 0;
-      double time_norm = 0;
-      transform::Provenance provenance;
-    };
-    std::vector<Survivor> survivors;
-    survivors.reserve(fresh.size());
     bool inserted_any = false;
-    const auto make_child = [&](std::size_t j,
-                                transform::Provenance provenance) {
-      const Action& action = actions[j];
-      BeamEntry child;
-      child.master = expanded[j].master;
-      child.hash = expanded[j].hash;
-      child.provenance = std::move(provenance);
-      // Carry the parent's declared-preserved analyses into the child's
-      // cache — the Pass framework's successor() protocol, applied per
-      // search edge.
-      child.cache = std::make_shared<const semantics::AnalysisCache>(
-          beam[action.parent].cache->successor(*child.master,
-                                               action_preserved(action.kind)));
-      cache_registry.emplace_back(child.master, child.cache);
-      return child;
-    };
-    for (std::size_t k = 0; k < fresh.size(); ++k) {
-      const std::size_t j = fresh[k];
-      const Action& action = actions[j];
-      const Metrics& metrics = measured[k].metrics;
-      transform::Provenance provenance = beam[action.parent].provenance;
-      provenance.push_back({action_pass_name(action.kind), action.detail});
-      // insert() rejects exactly the weakly dominated points, so test
-      // that first and copy the master only for a point that enters.
-      if (!frontier.dominates(metrics.area, metrics.time_ns)) {
-        frontier.insert({*expanded[j].master,
-                         std::move(measured[k].scheduled), metrics,
-                         provenance, expanded[j].hash});
-        inserted_any = true;
-        archive[expanded[j].hash] = make_child(j, provenance);
-      }
-      survivors.push_back({j, norm(metrics.area, initial.area),
-                           norm(metrics.time_ns, initial.time_ns),
-                           std::move(provenance)});
-    }
-    // Drop evicted designs from the archive: only frontier residents
-    // earn guaranteed expansion.
-    {
-      std::unordered_set<std::uint64_t> frontier_hashes;
-      for (const FrontierPoint& p : frontier.points()) {
-        frontier_hashes.insert(p.design_hash);
-      }
-      for (auto it = archive.begin(); it != archive.end();) {
-        it = frontier_hashes.count(it->first) ? std::next(it)
-                                              : archive.erase(it);
-      }
-    }
-    if (session != nullptr) {
-      session->counter("pareto.frontier_size",
-                       static_cast<std::int64_t>(frontier.size()));
-    }
-    if (obs::progress_enabled()) {
-      obs::ProgressCounters& pc = obs::progress();
-      pc.pareto_generation.store(gen + 1, std::memory_order_relaxed);
-      pc.pareto_frontier_points.store(frontier.size(),
-                                      std::memory_order_relaxed);
-      // Normalized hypervolume is cheap (frontier-sized staircase sweep)
-      // and only computed when a meter is live.
-      const double hv =
-          (initial.area > 0 && initial.time_ns > 0)
-              ? frontier.hypervolume(kHypervolumeRef * initial.area,
-                                     kHypervolumeRef * initial.time_ns) /
-                    (initial.area * initial.time_ns)
-              : 0.0;
-      pc.pareto_hypervolume.store(hv, std::memory_order_relaxed);
-      pc.pareto_updates.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    // Beam selection. Reserved λ-grid slots first: for each λ the
-    // earliest-job-index argmin of the scalarized objective (the greedy
-    // acceptance rule, one per descent direction). Remaining slots fill
-    // by non-domination rank with a lexicographic deterministic
-    // tie-break (rank, area_norm + time_norm, job index).
-    std::vector<std::size_t> selected;
-    const auto already_selected = [&](std::size_t s) {
-      return std::find(selected.begin(), selected.end(), s) !=
-             selected.end();
-    };
-    for (const double lambda : options.lambda_grid) {
-      if (selected.size() >= options.beam_width) break;
-      std::size_t best = survivors.size();
-      double best_objective = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < survivors.size(); ++s) {
-        const double objective = lambda * survivors[s].area_norm +
-                                 (1.0 - lambda) * survivors[s].time_norm;
-        if (objective < best_objective) {
-          best_objective = objective;
-          best = s;
-        }
-      }
-      if (best < survivors.size() && !already_selected(best)) {
-        selected.push_back(best);
-      }
-    }
-    if (selected.size() < options.beam_width &&
-        survivors.size() > selected.size()) {
-      std::vector<std::size_t> rank(survivors.size(), 0);
-      for (std::size_t a = 0; a < survivors.size(); ++a) {
-        for (std::size_t b = 0; b < survivors.size(); ++b) {
-          if (a == b) continue;
-          const bool dominates =
-              survivors[b].area_norm <= survivors[a].area_norm &&
-              survivors[b].time_norm <= survivors[a].time_norm &&
-              (survivors[b].area_norm < survivors[a].area_norm ||
-               survivors[b].time_norm < survivors[a].time_norm);
-          if (dominates) ++rank[a];
-        }
-      }
-      std::vector<std::size_t> rest;
-      for (std::size_t s = 0; s < survivors.size(); ++s) {
-        if (!already_selected(s)) rest.push_back(s);
-      }
-      std::sort(rest.begin(), rest.end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (rank[a] != rank[b]) return rank[a] < rank[b];
-                  const double sa =
-                      survivors[a].area_norm + survivors[a].time_norm;
-                  const double sb =
-                      survivors[b].area_norm + survivors[b].time_norm;
-                  if (sa != sb) return sa < sb;
-                  return survivors[a].job < survivors[b].job;
-                });
-      for (const std::size_t s : rest) {
-        if (selected.size() >= options.beam_width) break;
-        selected.push_back(s);
-      }
-    }
-
     std::vector<BeamEntry> next_beam;
-    next_beam.reserve(selected.size() + archive.size());
-    std::unordered_set<std::uint64_t> in_next;
-    for (const std::size_t s : selected) {
-      const std::size_t j = survivors[s].job;
-      if (!in_next.insert(expanded[j].hash).second) continue;
-      // Frontier-inserted survivors already have an archive entry (and
-      // cache) — alias it rather than building a second one.
-      const auto it = archive.find(expanded[j].hash);
-      next_beam.push_back(it != archive.end()
-                              ? it->second
-                              : make_child(j, survivors[s].provenance));
+    {
+      const obs::ObsSpan reduce_span("pareto.reduce");
+      struct Survivor {
+        std::size_t job = 0;
+        double area_norm = 0;
+        double time_norm = 0;
+        transform::Provenance provenance;
+      };
+      std::vector<Survivor> survivors;
+      survivors.reserve(fresh.size());
+      const auto make_child = [&](std::size_t j,
+                                  transform::Provenance provenance) {
+        const Action& action = actions[j];
+        BeamEntry child;
+        child.master = expanded[j].master;
+        child.hash = expanded[j].hash;
+        child.provenance = std::move(provenance);
+        // Carry the parent's declared-preserved analyses into the child's
+        // cache — the Pass framework's successor() protocol, applied per
+        // search edge.
+        child.cache = std::make_shared<const semantics::AnalysisCache>(
+            beam[action.parent].cache->successor(
+                *child.master, action_preserved(action.kind)));
+        cache_registry.emplace_back(child.master, child.cache);
+        return child;
+      };
+      for (std::size_t k = 0; k < fresh.size(); ++k) {
+        const std::size_t j = fresh[k];
+        const Action& action = actions[j];
+        const Metrics& metrics = measured[k].metrics;
+        transform::Provenance provenance = beam[action.parent].provenance;
+        provenance.push_back({action_pass_name(action.kind), action.detail});
+        // insert() rejects exactly the weakly dominated points, so test
+        // that first and copy the master only for a point that enters.
+        if (!frontier.dominates(metrics.area, metrics.time_ns)) {
+          frontier.insert({*expanded[j].master,
+                           std::move(measured[k].scheduled), metrics,
+                           provenance, expanded[j].hash});
+          inserted_any = true;
+          archive[expanded[j].hash] = make_child(j, provenance);
+        }
+        survivors.push_back({j, norm(metrics.area, initial.area),
+                             norm(metrics.time_ns, initial.time_ns),
+                             std::move(provenance)});
+      }
+      // Drop evicted designs from the archive: only frontier residents
+      // earn guaranteed expansion.
+      {
+        std::unordered_set<std::uint64_t> frontier_hashes;
+        for (const FrontierPoint& p : frontier.points()) {
+          frontier_hashes.insert(p.design_hash);
+        }
+        for (auto it = archive.begin(); it != archive.end();) {
+          it = frontier_hashes.count(it->first) ? std::next(it)
+                                                : archive.erase(it);
+        }
+      }
+      if (session != nullptr) {
+        session->counter("pareto.frontier_size",
+                         static_cast<std::int64_t>(frontier.size()));
+      }
+      if (obs::progress_enabled()) {
+        obs::ProgressCounters& pc = obs::progress();
+        pc.pareto_generation.store(gen + 1, std::memory_order_relaxed);
+        pc.pareto_frontier_points.store(frontier.size(),
+                                        std::memory_order_relaxed);
+        // Normalized hypervolume is cheap (frontier-sized staircase sweep)
+        // and only computed when a meter is live.
+        const double hv =
+            (initial.area > 0 && initial.time_ns > 0)
+                ? frontier.hypervolume(kHypervolumeRef * initial.area,
+                                       kHypervolumeRef * initial.time_ns) /
+                      (initial.area * initial.time_ns)
+                : 0.0;
+        pc.pareto_hypervolume.store(hv, std::memory_order_relaxed);
+        pc.pareto_updates.fetch_add(1, std::memory_order_relaxed);
+      }
+
+      // Beam selection. Reserved λ-grid slots first: for each λ the
+      // earliest-job-index argmin of the scalarized objective (the greedy
+      // acceptance rule, one per descent direction). Remaining slots fill
+      // by non-domination rank with a lexicographic deterministic
+      // tie-break (rank, area_norm + time_norm, job index).
+      std::vector<std::size_t> selected;
+      const auto already_selected = [&](std::size_t s) {
+        return std::find(selected.begin(), selected.end(), s) !=
+               selected.end();
+      };
+      for (const double lambda : options.lambda_grid) {
+        if (selected.size() >= options.beam_width) break;
+        std::size_t best = survivors.size();
+        double best_objective = std::numeric_limits<double>::infinity();
+        for (std::size_t s = 0; s < survivors.size(); ++s) {
+          const double objective = lambda * survivors[s].area_norm +
+                                   (1.0 - lambda) * survivors[s].time_norm;
+          if (objective < best_objective) {
+            best_objective = objective;
+            best = s;
+          }
+        }
+        if (best < survivors.size() && !already_selected(best)) {
+          selected.push_back(best);
+        }
+      }
+      if (selected.size() < options.beam_width &&
+          survivors.size() > selected.size()) {
+        std::vector<std::size_t> rank(survivors.size(), 0);
+        for (std::size_t a = 0; a < survivors.size(); ++a) {
+          for (std::size_t b = 0; b < survivors.size(); ++b) {
+            if (a == b) continue;
+            const bool dominates =
+                survivors[b].area_norm <= survivors[a].area_norm &&
+                survivors[b].time_norm <= survivors[a].time_norm &&
+                (survivors[b].area_norm < survivors[a].area_norm ||
+                 survivors[b].time_norm < survivors[a].time_norm);
+            if (dominates) ++rank[a];
+          }
+        }
+        std::vector<std::size_t> rest;
+        for (std::size_t s = 0; s < survivors.size(); ++s) {
+          if (!already_selected(s)) rest.push_back(s);
+        }
+        std::sort(rest.begin(), rest.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    if (rank[a] != rank[b]) return rank[a] < rank[b];
+                    const double sa =
+                        survivors[a].area_norm + survivors[a].time_norm;
+                    const double sb =
+                        survivors[b].area_norm + survivors[b].time_norm;
+                    if (sa != sb) return sa < sb;
+                    return survivors[a].job < survivors[b].job;
+                  });
+        for (const std::size_t s : rest) {
+          if (selected.size() >= options.beam_width) break;
+          selected.push_back(s);
+        }
+      }
+
+      next_beam.reserve(selected.size() + archive.size());
+      std::unordered_set<std::uint64_t> in_next;
+      for (const std::size_t s : selected) {
+        const std::size_t j = survivors[s].job;
+        if (!in_next.insert(expanded[j].hash).second) continue;
+        // Frontier-inserted survivors already have an archive entry (and
+        // cache) — alias it rather than building a second one.
+        const auto it = archive.find(expanded[j].hash);
+        next_beam.push_back(it != archive.end()
+                                ? it->second
+                                : make_child(j, survivors[s].provenance));
+      }
+      // Archive elitism: append every frontier resident the λ-slots did
+      // not pick. Already-expanded residents are skipped at enumeration,
+      // so this costs nothing once a design's successors have been tried.
+      for (const FrontierPoint& p : frontier.points()) {
+        const auto it = archive.find(p.design_hash);
+        if (it == archive.end()) continue;
+        if (!in_next.insert(p.design_hash).second) continue;
+        next_beam.push_back(it->second);
+      }
     }
-    // Archive elitism: append every frontier resident the λ-slots did
-    // not pick. Already-expanded residents are skipped at enumeration,
-    // so this costs nothing once a design's successors have been tried.
-    for (const FrontierPoint& p : frontier.points()) {
-      const auto it = archive.find(p.design_hash);
-      if (it == archive.end()) continue;
-      if (!in_next.insert(p.design_hash).second) continue;
-      next_beam.push_back(it->second);
+    {
+      // The successors and schedules that no beam entry or frontier
+      // point kept, and the buffers too: returning the first large block
+      // makes the allocator consolidate the chunks these frees left, a
+      // cost that would otherwise land in whatever span runs next.
+      const obs::ObsSpan release_span("pareto.release");
+      std::vector<Expansion>().swap(expanded);
+      std::vector<Measured>().swap(measured);
     }
 
     beam = std::move(next_beam);

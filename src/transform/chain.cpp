@@ -57,9 +57,7 @@ dcf::System merge_states(const dcf::System& system, PlaceId s1,
     }
   }
 
-  dcf::System result(system.datapath(), std::move(rebuilt), system.name());
-  result.validate();
-  return result;
+  return system.with_control(std::move(rebuilt));
 }
 
 }  // namespace

@@ -86,9 +86,7 @@ dcf::System apply(const dcf::System& system, const Elision& elision) {
     for (dcf::PortId g : system.control().guards(t)) rebuilt.guard(nt, g);
   }
 
-  dcf::System result(system.datapath(), std::move(rebuilt), system.name());
-  result.validate();
-  return result;
+  return system.with_control(std::move(rebuilt));
 }
 
 }  // namespace

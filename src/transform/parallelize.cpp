@@ -279,9 +279,7 @@ dcf::System parallelize(const dcf::System& system,
   }
 
   if (stats != nullptr) *stats = local_stats;
-  dcf::System result(system.datapath(), std::move(rebuilt), system.name());
-  result.validate();
-  return result;
+  return system.with_control(std::move(rebuilt));
 }
 
 std::optional<std::pair<TransitionId, PlaceId>> linear_successor(

@@ -312,8 +312,9 @@ TEST(OptimizerCache, CachedParallelMatchesUncachedSerial) {
     const synth::OptimizerResult reference =
         reference_optimize(serial, lib, options);
     // The shared cache, batched measurement and parallel sweep must
-    // walk the reference's trajectory at any thread count.
-    for (const std::size_t threads : {1u, 4u}) {
+    // walk the reference's trajectory at any thread count, also when
+    // each worker keeps its best of several candidates.
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE(serial.name() + " at " + std::to_string(threads) +
                    " thread(s)");
       options.eval_threads = threads;

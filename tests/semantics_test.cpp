@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcf/builder.h"
@@ -430,9 +431,12 @@ TEST(DependenceOracle, GuardOnInputPortHasNoSupport) {
   const auto guarded = b.chain(s1, s2, "T1");
   const auto t_end = b.transition("Tend");
   b.flow(s2, t_end);
-  dcf::System sys = b.build("input_port_guard");
-  // validate() would reject it, so bind the guard after building.
-  sys.control().guard(guarded, sys.datapath().input_ports(add).front());
+  const dcf::System built = b.build("input_port_guard");
+  // validate() would reject it, so bind the guard in a copy of the built
+  // control net and assemble the System without validating.
+  dcf::ControlNet control = built.control();
+  control.guard(guarded, built.datapath().input_ports(add).front());
+  const dcf::System sys(built.datapath(), std::move(control), built.name());
 
   const DependenceRelation dep(sys, only_clause_d());
   for (PlaceId i : sys.control().net().places()) {

@@ -1,6 +1,6 @@
-// Heap allocations of a warm simulator run, counted by a replacement
-// global operator new. The replacement applies to the whole executable,
-// which is why this test is a binary of its own.
+// Heap allocations of a warm simulator run and of System copies, counted
+// by a replacement global operator new. The replacement applies to the
+// whole executable, which is why this test is a binary of its own.
 //
 // The pin: a default run (no per-cycle records) allocates O(events), not
 // O(cycles). gcd with a = 1 and b = 10^9 subtracts one per loop
@@ -11,7 +11,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
+#include "dcf/system.h"
 #include "sim/simulator.h"
 #include "synth/compile.h"
 #include "synth/designs.h"
@@ -77,6 +79,20 @@ TEST(SimAllocations, RecordingRunAllocatesPerCycle) {
   const CountedRun run = warm_gcd_run(options);
   EXPECT_EQ(run.result.trace.cycles.size(), kCycles);
   EXPECT_GE(run.allocations, kCycles);
+}
+
+// A System holds its data path and control net as shared parts: an
+// empty System allocates nothing, and a copy or a move only counts
+// references.
+TEST(SystemAllocations, EmptyCopiedAndMovedSystemsAllocateNothing) {
+  const dcf::System sys = synth::compile_source(synth::gcd_source());
+  const std::uint64_t before = g_allocations.load();
+  const dcf::System empty;
+  dcf::System copy = sys;
+  const dcf::System moved = std::move(copy);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(&moved.datapath(), &sys.datapath());
+  EXPECT_EQ(empty.datapath().vertex_count(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // splitting; and every pass over a control net with weighted arcs.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "dcf/builder.h"
 #include "dcf/check.h"
 #include "semantics/equivalence.h"
@@ -181,8 +183,8 @@ TEST(Split, RejectsStateNotUsingVertex) {
 /// net: W0 (2 tokens) -2-> Tw -> W1 -> Tr -2-> W0. The loop controls no
 /// data-path arc, so each pass finds in the design what it finds without
 /// the loop, and must carry the loop's weights over.
-dcf::System with_weighted_loop(dcf::System sys) {
-  dcf::ControlNet& control = sys.control();
+dcf::System with_weighted_loop(const dcf::System& sys) {
+  dcf::ControlNet control = sys.control();
   const PlaceId w0 = control.add_state("W0");
   const PlaceId w1 = control.add_state("W1");
   const TransitionId tw = control.add_transition("Tw");
@@ -192,7 +194,7 @@ dcf::System with_weighted_loop(dcf::System sys) {
   control.net().connect(tw, w1);
   control.net().connect(w1, tr);
   control.net().connect(tr, w0, 2);
-  return sys;
+  return dcf::System(sys.datapath(), std::move(control), sys.name());
 }
 
 PlaceId place_named(const petri::Net& net, const std::string& name) {
@@ -312,12 +314,75 @@ TEST(WeightedArcs, CleanupKeepsAPlaceFedTwoTokensAtOnce) {
   b.flow(w0, ta);
   b.flow(p, tb);
   b.flow(tb, w2);
-  dcf::System sys = b.build("weighted_producer");
-  sys.control().net().connect(ta, p, 2);
+  const dcf::System built = b.build("weighted_producer");
+  dcf::ControlNet control = built.control();
+  control.net().connect(ta, p, 2);
+  const dcf::System sys(built.datapath(), std::move(control), built.name());
   CleanupStats stats;
   const dcf::System out = cleanup_control(sys, &stats);
   EXPECT_EQ(stats.states_removed, 0u);
   EXPECT_EQ(out.control().net().arc_weight(ta, p), 2u);
+}
+
+// ---- shared parts ---------------------------------------------------------
+
+TEST(SharedParts, EachRebuildSharesTheHalfItLeavesAlone) {
+  const dcf::System sys = weighted_independent();
+
+  // A copy shares both parts.
+  const dcf::System copy = sys;
+  EXPECT_EQ(&copy.datapath(), &sys.datapath());
+  EXPECT_EQ(&copy.control(), &sys.control());
+
+  // The data-invariant rebuilds (Thm 4.1) return a new control net over
+  // their input's data path.
+  ParallelizeStats parallelized_stats;
+  const dcf::System parallelized = parallelize(sys, {}, &parallelized_stats);
+  ASSERT_GE(parallelized_stats.segments_transformed, 1u);
+  EXPECT_EQ(&parallelized.datapath(), &sys.datapath());
+  EXPECT_NE(&parallelized.control(), &sys.control());
+  CleanupStats cleanup_stats;
+  const dcf::System cleaned = cleanup_control(sys, &cleanup_stats);
+  ASSERT_GE(cleanup_stats.states_removed, 1u);
+  EXPECT_EQ(&cleaned.datapath(), &sys.datapath());
+  ChainStats chain_stats;
+  const dcf::System chained = chain_states(sys, &chain_stats);
+  ASSERT_GE(chain_stats.states_merged, 1u);
+  EXPECT_EQ(&chained.datapath(), &sys.datapath());
+
+  // The control-invariant ones (Thm 4.2) build a new data path.
+  const auto pairs = mergeable_pairs(sys);
+  ASSERT_FALSE(pairs.empty());
+  const dcf::System merged =
+      merge_vertices(sys, pairs.front().first, pairs.front().second);
+  EXPECT_NE(&merged.datapath(), &sys.datapath());
+  RegShareStats regshare_stats;
+  const dcf::System shared = share_registers(sys, &regshare_stats);
+  ASSERT_LT(regshare_stats.registers_after, regshare_stats.registers_before);
+  EXPECT_NE(&shared.datapath(), &sys.datapath());
+  const dcf::System all_merged = merge_all(sys);
+  bool split_once = false;
+  for (dcf::VertexId v : all_merged.datapath().vertices()) {
+    for (PlaceId p : all_merged.control().net().places()) {
+      if (split_once || !can_split(all_merged, v, {p}).legal) continue;
+      const dcf::System split = split_vertex(all_merged, v, {p});
+      EXPECT_NE(&split.datapath(), &all_merged.datapath());
+      split_once = true;
+    }
+  }
+  EXPECT_TRUE(split_once);
+
+  // An empty System, default-constructed or moved from, is a valid
+  // system with no vertices and no places.
+  const dcf::System empty;
+  dcf::System source = sys;
+  const dcf::System moved = std::move(source);
+  EXPECT_EQ(&moved.datapath(), &sys.datapath());
+  for (const dcf::System* s : {&empty, &std::as_const(source)}) {
+    EXPECT_NO_THROW(s->validate());
+    EXPECT_EQ(s->datapath().vertex_count(), 0u);
+    EXPECT_EQ(s->control().net().place_count(), 0u);
+  }
 }
 
 }  // namespace
