@@ -6,8 +6,11 @@
 // every run, speedup is reported).
 //
 // Pass --json[=PATH] (default BENCH_mc.json) to emit per-workload
-// states/second and speedup-vs-1-thread for each thread count, the
-// record docs/PERF.md and the CI bench artifact consume. Without
+// states/second and speedup-vs-1-thread for each thread count, plus the
+// one-thread run's store bytes and work counts (successors, same-depth
+// and older rediscoveries, parent replacements), which bench_diff gates
+// as invariant: the record docs/PERF.md and the CI bench artifact
+// consume. Without
 // --json the same sweep runs under google-benchmark.
 //
 // Timing rule for --json: each (net, threads) cell is the median of
@@ -141,7 +144,16 @@ void sweep_json(bench::BenchJson& json, const std::string& name,
       .field("depth", static_cast<std::uint64_t>(reference.depth))
       .field("store_bytes",
              static_cast<std::uint64_t>(reference.stats.store_bytes))
-      .field("bytes_per_state", bench::rounded(bytes_per_state, 1));
+      .field("bytes_per_state", bench::rounded(bytes_per_state, 1))
+      .field("successors",
+             static_cast<std::uint64_t>(reference.stats.successors))
+      .field("same_depth_rediscoveries",
+             static_cast<std::uint64_t>(
+                 reference.stats.same_depth_rediscoveries))
+      .field("older_rediscoveries",
+             static_cast<std::uint64_t>(reference.stats.older_rediscoveries))
+      .field("parent_replacements",
+             static_cast<std::uint64_t>(reference.stats.parent_replacements));
   double base = 0.0;
   for (const std::size_t threads : {1UL, 2UL, 4UL, 8UL}) {
     const double median = cell_seconds(net, threads, reference);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -59,24 +58,15 @@ struct ConflictKey {
   friend auto operator<=>(const ConflictKey&, const ConflictKey&) = default;
 };
 
-struct WorkerState {
-  std::vector<std::uint64_t> succ;    // successor scratch
-  std::vector<std::uint64_t> marked;  // marked-support scratch
-  std::vector<std::uint32_t> marked_list;
-  std::vector<std::uint32_t> allowed;  // competitor scratch
-  std::vector<std::uint64_t> fired;    // transition bitset
-  std::vector<std::uint64_t> conc;     // |S|*|S| bitset
-  bool bounded = true;
-  bool can_terminate = false;
-  WitnessCandidate unsafe;
-  WitnessCandidate dead;
-  std::map<ConflictKey, WitnessCandidate> conflicts;
-  std::vector<StateRef> new_refs;
-  // One outbox of successors per store shard, handed to the store when it
-  // fills and at the end of every chunk; `results` receives its outcome.
-  std::vector<InsertBatch> outboxes;
-  std::array<InsertResult, InsertBatch::kCapacity> results;
-};
+[[nodiscard]] bool test_bit(const std::uint64_t* bits, std::size_t i) {
+  return ((bits[i >> 6] >> (i & 63)) & 1U) != 0;
+}
+void set_bit(std::uint64_t* bits, std::size_t i) {
+  bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+}
+void clear_bit(std::uint64_t* bits, std::size_t i) {
+  bits[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+}
 
 bool intersects(const std::vector<std::uint64_t>& a,
                 const std::vector<std::uint64_t>& b) {
@@ -85,6 +75,45 @@ bool intersects(const std::vector<std::uint64_t>& a,
   }
   return false;
 }
+
+/// Position of competitor pair (i, j), i < j, among the k(k-1)/2 pairs of
+/// a place with k competitors, pairs ordered by (i, j).
+[[nodiscard]] std::size_t pair_index(std::size_t i, std::size_t j,
+                                     std::size_t k) {
+  return i * (2 * k - i - 1) / 2 + (j - i - 1);
+}
+
+constexpr std::uint32_t kNoSlot = 0xffffffffU;
+
+struct WorkerState {
+  std::vector<std::uint64_t> succ;         // successor scratch
+  std::vector<std::uint64_t> marked;       // marked places of the state
+  std::vector<std::uint32_t> marked_list;  // the same, as ascending ids
+  std::vector<std::uint64_t> succ_marked;  // marked places of a successor
+  std::vector<std::uint64_t> allowed;      // enabled, guard-allowed
+                                           // transitions of the state
+  std::vector<std::uint32_t> competing;    // rule-3 competitor scratch
+  std::vector<std::uint64_t> fired;        // transition bitset
+  // Concurrency: row p (place_words words) ORs the marked set of every
+  // state that marks p; its diagonal bit is replaced by `multi` (places
+  // that held two or more tokens) when the relation is read out.
+  std::vector<std::uint64_t> rows;
+  std::vector<std::uint64_t> multi;
+  bool bounded = true;
+  bool can_terminate = false;
+  WitnessCandidate unsafe;
+  WitnessCandidate dead;
+  std::vector<WitnessCandidate> conflicts;  // one per conflict slot
+  std::size_t successors = 0;
+  // States this worker inserted during the level, in insertion order:
+  // its share of the next frontier.
+  std::vector<StateRef> next_refs;
+  std::vector<std::uint64_t> next_words;
+  // One outbox of successors per store shard, handed to the store when it
+  // fills and at the end of every chunk; `results` receives its outcome.
+  std::vector<InsertBatch> outboxes;
+  std::array<InsertResult, InsertBatch::kCapacity> results;
+};
 
 constexpr std::size_t kMaxReportedConflicts = 64;
 
@@ -95,21 +124,34 @@ struct Search {
   StateCodec codec;
   VisitedStore store;
   std::size_t workers;
+  std::size_t place_words;  // words of a place bitset
 
   // Flattened flow relation (place indices per transition). `pre`/`post`
   // keep multiset entries (one per token moved, so the firing loops stay
-  // weight-correct); `pre_unique`/`pre_need` are the deduplicated view for
-  // the enabling check: place index plus required token multiplicity.
+  // weight-correct). Enabling reads `pre_mask` (transition t's input
+  // places, place_words words at t * place_words) against the marked
+  // set, and token counts only for the arcs in `heavy`, those that take
+  // two or more tokens (transition t's at heavy_begin[t]..[t + 1]).
   std::vector<std::vector<std::uint32_t>> pre;
   std::vector<std::vector<std::uint32_t>> post;
-  std::vector<std::vector<std::uint32_t>> pre_unique;
-  std::vector<std::vector<std::uint32_t>> pre_need;
-  // Competitor lists per place (transition indices of net.post(place)).
+  std::vector<std::uint64_t> pre_mask;
+  std::vector<std::uint32_t> heavy_begin;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> heavy;  // place, need
+
+  // Rule 3 (guard-aware runs only). Competitor lists per place
+  // (transition indices of net.consumers(place)); pair (i, j) of place p
+  // owns pair_slot[pair_base[p] + pair_index(i, j, k)], its witness slot,
+  // or kNoSlot when the pair is statically exclusive. Slots are numbered
+  // in ConflictKey order, the order conflicts are reported in, and
+  // conflict_keys[slot] is the slot's key.
   std::vector<std::vector<std::uint32_t>> competitors;
+  std::vector<std::size_t> pair_base;
+  std::vector<std::uint32_t> pair_slot;
+  std::vector<ConflictKey> conflict_keys;
 
   // Frontier of the level being expanded: packed copies (immutable while
-  // workers run — workers read state words from here, never from a
-  // possibly-growing arena) plus the store refs.
+  // workers run — workers read state words from here, never from
+  // possibly-growing records) plus the store refs.
   std::vector<std::uint64_t> frontier_words;
   std::vector<StateRef> frontier_refs;
 
@@ -126,52 +168,82 @@ struct Search {
                                8 * sim::resolve_worker_count(
                                        std::size_t{1} << 30, opt.threads),
                                16, 256)),
-        workers(sim::resolve_worker_count(std::size_t{1} << 30, opt.threads)) {
+        workers(sim::resolve_worker_count(std::size_t{1} << 30, opt.threads)),
+        place_words(codec.marked_words()) {
     const std::size_t t_count = net.transition_count();
+    const std::size_t n_places = net.place_count();
     pre.resize(t_count);
     post.resize(t_count);
-    pre_unique.resize(t_count);
-    pre_need.resize(t_count);
+    pre_mask.assign(t_count * place_words, 0);
+    heavy_begin.assign(t_count + 1, 0);
     for (TransitionId t : net.transitions()) {
-      for (PlaceId p : net.pre(t)) pre[t.index()].push_back(p.value());
+      auto& in = pre[t.index()];
+      for (PlaceId p : net.pre(t)) in.push_back(p.value());
       for (PlaceId p : net.post(t)) post[t.index()].push_back(p.value());
-      auto& unique = pre_unique[t.index()];
-      auto& need = pre_need[t.index()];
-      for (const std::uint32_t p : pre[t.index()]) {
-        const auto it = std::find(unique.begin(), unique.end(), p);
-        if (it == unique.end()) {
-          unique.push_back(p);
-          need.push_back(1);
-        } else {
-          ++need[static_cast<std::size_t>(it - unique.begin())];
-        }
+      for (auto p = in.begin(); p != in.end(); ++p) {
+        set_bit(pre_mask.data() + t.index() * place_words, *p);
+        // A weighted arc lists its place once per token it takes.
+        if (std::find(in.begin(), p, *p) != p) continue;
+        const auto need =
+            static_cast<std::uint32_t>(std::count(p, in.end(), *p));
+        if (need >= 2) heavy.emplace_back(*p, need);
       }
+      heavy_begin[t.index() + 1] = static_cast<std::uint32_t>(heavy.size());
     }
-    competitors.resize(net.place_count());
-    for (PlaceId p : net.places()) {
-      for (TransitionId t : net.consumers(p)) {
-        competitors[p.index()].push_back(t.value());
-      }
-    }
+    if (guards != nullptr) build_conflict_slots();
     worker_state.resize(workers);
-    const std::size_t n_places = net.place_count();
     for (WorkerState& w : worker_state) {
       w.succ.resize(codec.words());
-      w.marked.resize(codec.marked_words());
+      w.marked.resize(place_words);
+      w.succ_marked.resize(place_words);
+      w.allowed.resize((t_count + 63) / 64);
       w.fired.assign((t_count + 63) / 64, 0);
       w.outboxes.assign(store.shard_count(), InsertBatch(codec.words()));
+      w.conflicts.resize(conflict_keys.size());
       if (options.compute_concurrency) {
-        w.conc.assign((n_places * n_places + 63) / 64, 0);
+        w.rows.assign(n_places * place_words, 0);
+        w.multi.assign(place_words, 0);
       }
     }
   }
 
-  [[nodiscard]] bool token_enabled(const std::uint64_t* w,
+  void build_conflict_slots() {
+    const std::size_t n_places = net.place_count();
+    competitors.resize(n_places);
+    pair_base.assign(n_places + 1, 0);
+    std::vector<std::pair<ConflictKey, std::size_t>> keyed;
+    for (PlaceId p : net.places()) {
+      auto& comp = competitors[p.index()];
+      for (TransitionId t : net.consumers(p)) comp.push_back(t.value());
+      const std::size_t k = comp.size();
+      pair_base[p.index() + 1] =
+          pair_base[p.index()] + (k < 2 ? 0 : k * (k - 1) / 2);
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t j = i + 1; j < k; ++j) {
+          if (guards->statically_exclusive(comp[i], comp[j])) continue;
+          keyed.push_back({{p.value(), comp[i], comp[j]},
+                           pair_base[p.index()] + pair_index(i, j, k)});
+        }
+      }
+    }
+    std::sort(keyed.begin(), keyed.end());
+    pair_slot.assign(pair_base.back(), kNoSlot);
+    conflict_keys.reserve(keyed.size());
+    for (const auto& [key, at] : keyed) {
+      pair_slot[at] = static_cast<std::uint32_t>(conflict_keys.size());
+      conflict_keys.push_back(key);
+    }
+  }
+
+  [[nodiscard]] bool token_enabled(const std::uint64_t* marked,
+                                   const std::uint64_t* w,
                                    std::size_t t) const {
-    const auto& unique = pre_unique[t];
-    const auto& need = pre_need[t];
-    for (std::size_t i = 0; i < unique.size(); ++i) {
-      if (codec.tokens(w, unique[i]) < need[i]) return false;
+    const std::uint64_t* need = pre_mask.data() + t * place_words;
+    for (std::size_t i = 0; i < place_words; ++i) {
+      if ((need[i] & ~marked[i]) != 0) return false;
+    }
+    for (std::uint32_t a = heavy_begin[t]; a < heavy_begin[t + 1]; ++a) {
+      if (codec.tokens(w, heavy[a].first) < heavy[a].second) return false;
     }
     return true;
   }
@@ -187,7 +259,7 @@ struct Search {
 
   /// Canonical parent order among same-depth discoverers: least (parent
   /// packed words, transition id). Parent positions index the live
-  /// frontier copy, so the comparison never touches a growing arena.
+  /// frontier copy, so the comparison never touches growing records.
   [[nodiscard]] bool better_parent(const StateMeta& stored,
                                    const StateMeta& candidate) const {
     const std::uint64_t* sp =
@@ -201,7 +273,7 @@ struct Search {
   }
 
   /// Inserts a worker's outbox under one acquisition of its shard's lock
-  /// and records the states it added.
+  /// and appends the states it added to the worker's next frontier.
   void flush(WorkerState& ws, InsertBatch& outbox) {
     store.insert_or_improve(
         outbox,
@@ -210,7 +282,10 @@ struct Search {
         },
         ws.results.data());
     for (std::size_t i = 0; i < outbox.size(); ++i) {
-      if (ws.results[i].inserted) ws.new_refs.push_back(ws.results[i].ref);
+      if (!ws.results[i].inserted) continue;
+      ws.next_refs.push_back(ws.results[i].ref);
+      ws.next_words.insert(ws.next_words.end(), outbox.words(i),
+                           outbox.words(i) + codec.words());
     }
     outbox.clear();
   }
@@ -219,35 +294,26 @@ struct Search {
     const std::uint64_t* w =
         frontier_words.data() + pos * codec.words();
     const StateRef ref = frontier_refs[pos];
-    const std::size_t n_places = net.place_count();
 
     // --- per-state property visit (mirrors petri::explore's order) -----
+    // One pass over the packed marking builds the marked-place bitset.
     bool unsafe_here = false;
     bool over_bound = false;
-    std::uint64_t total = 0;
+    std::fill(ws.marked.begin(), ws.marked.end(), 0);
     ws.marked_list.clear();
-    for (std::size_t i = 0; i < n_places; ++i) {
-      const std::uint32_t tok = codec.tokens(w, i);
-      if (tok == 0) continue;
-      ws.marked_list.push_back(static_cast<std::uint32_t>(i));
-      total += tok;
-      if (tok >= 2) unsafe_here = true;
-      if (tok > options.token_bound) over_bound = true;
-    }
+    codec.for_each_marked(w, [&](std::size_t p, std::uint32_t tokens) {
+      set_bit(ws.marked.data(), p);
+      ws.marked_list.push_back(static_cast<std::uint32_t>(p));
+      if (tokens >= 2) {
+        unsafe_here = true;
+        if (options.compute_concurrency) set_bit(ws.multi.data(), p);
+      }
+      if (tokens > options.token_bound) over_bound = true;
+    });
     if (options.compute_concurrency) {
-      for (std::size_t a = 0; a < ws.marked_list.size(); ++a) {
-        const std::size_t ia = ws.marked_list[a];
-        for (std::size_t b = a + 1; b < ws.marked_list.size(); ++b) {
-          const std::size_t ib = ws.marked_list[b];
-          const std::size_t bit1 = ia * n_places + ib;
-          const std::size_t bit2 = ib * n_places + ia;
-          ws.conc[bit1 >> 6] |= std::uint64_t{1} << (bit1 & 63);
-          ws.conc[bit2 >> 6] |= std::uint64_t{1} << (bit2 & 63);
-        }
-        if (codec.tokens(w, ia) >= 2) {
-          const std::size_t bit = ia * n_places + ia;
-          ws.conc[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-        }
+      for (const std::uint32_t p : ws.marked_list) {
+        std::uint64_t* row = ws.rows.data() + std::size_t{p} * place_words;
+        for (std::size_t i = 0; i < place_words; ++i) row[i] |= ws.marked[i];
       }
     }
     if (unsafe_here) ws.unsafe.offer(codec, depth, w, ref);
@@ -260,11 +326,12 @@ struct Search {
 
     // --- successors ----------------------------------------------------
     bool any_allowed = false;
+    std::fill(ws.allowed.begin(), ws.allowed.end(), 0);
     for (std::size_t t = 0; t < pre.size(); ++t) {
-      if (!token_enabled(w, t)) continue;
+      if (!token_enabled(ws.marked.data(), w, t)) continue;
       if (!guard_allowed(w, t)) continue;
       any_allowed = true;
-      ws.fired[t >> 6] |= std::uint64_t{1} << (t & 63);
+      set_bit(ws.allowed.data(), t);
 
       std::copy(w, w + codec.words(), ws.succ.begin());
       for (const std::uint32_t p : pre[t]) codec.remove_token(ws.succ.data(), p);
@@ -277,11 +344,20 @@ struct Search {
                                guards->constraint_value(t));
         }
         // Release every cell whose condition may relatch under the
-        // successor marking.
-        codec.marked_support(ws.succ.data(), ws.marked.data());
+        // successor marking: the state's marked places, less those t
+        // emptied, plus t's outputs.
+        ws.succ_marked = ws.marked;
+        for (const std::uint32_t p : pre[t]) {
+          if (codec.tokens(ws.succ.data(), p) == 0) {
+            clear_bit(ws.succ_marked.data(), p);
+          }
+        }
+        for (const std::uint32_t p : post[t]) {
+          set_bit(ws.succ_marked.data(), p);
+        }
         for (std::size_t c = 0; c < guards->cell_count(); ++c) {
           if (codec.commitment(ws.succ.data(), c) != kUnknown &&
-              intersects(ws.marked, guards->latch_support(c))) {
+              intersects(ws.succ_marked, guards->latch_support(c))) {
             codec.set_commitment(ws.succ.data(), c, kUnknown);
           }
         }
@@ -295,10 +371,14 @@ struct Search {
       const std::uint64_t hash = codec.hash(ws.succ.data());
       InsertBatch& outbox = ws.outboxes[store.shard_of(hash)];
       outbox.push(ws.succ.data(), hash, meta);
+      ++ws.successors;
       if (outbox.full()) flush(ws, outbox);
     }
+    for (std::size_t i = 0; i < ws.allowed.size(); ++i) {
+      ws.fired[i] |= ws.allowed[i];
+    }
     if (!any_allowed) {
-      if (total == 0) {
+      if (ws.marked_list.empty()) {
         ws.can_terminate = true;
       } else {
         ws.dead.offer(codec, depth, w, ref);
@@ -306,22 +386,25 @@ struct Search {
     }
 
     // --- reachable guard conflicts (rule 3, per state) -----------------
+    // Every pair of a marked place's allowed competitors that is not
+    // statically exclusive offers the state to its witness slot.
     if (guards != nullptr) {
       for (const std::uint32_t p : ws.marked_list) {
         const auto& comp = competitors[p];
         if (comp.size() < 2) continue;
-        ws.allowed.clear();
-        for (const std::uint32_t t : comp) {
-          if (token_enabled(w, t) && guard_allowed(w, t)) {
-            ws.allowed.push_back(t);
+        ws.competing.clear();
+        for (std::size_t i = 0; i < comp.size(); ++i) {
+          if (test_bit(ws.allowed.data(), comp[i])) {
+            ws.competing.push_back(static_cast<std::uint32_t>(i));
           }
         }
-        for (std::size_t i = 0; i < ws.allowed.size(); ++i) {
-          for (std::size_t j = i + 1; j < ws.allowed.size(); ++j) {
-            const std::uint32_t a = ws.allowed[i];
-            const std::uint32_t b = ws.allowed[j];
-            if (guards->statically_exclusive(a, b)) continue;
-            ws.conflicts[{p, a, b}].offer(codec, depth, w, ref);
+        for (std::size_t x = 0; x < ws.competing.size(); ++x) {
+          for (std::size_t y = x + 1; y < ws.competing.size(); ++y) {
+            const std::uint32_t slot =
+                pair_slot[pair_base[p] + pair_index(ws.competing[x],
+                                                    ws.competing[y],
+                                                    comp.size())];
+            if (slot != kNoSlot) ws.conflicts[slot].offer(codec, depth, w, ref);
           }
         }
       }
@@ -330,10 +413,9 @@ struct Search {
 
   [[nodiscard]] std::vector<TransitionId> trace_to(StateRef ref) const {
     std::vector<TransitionId> trace;
-    StateRef cur = ref;
-    while (store.meta(cur).parent.valid()) {
-      trace.push_back(store.meta(cur).via);
-      cur = store.meta(cur).parent;
+    for (StateMeta meta = store.meta(ref); meta.parent.valid();
+         meta = store.meta(meta.parent)) {
+      trace.push_back(meta.via);
     }
     std::reverse(trace.begin(), trace.end());
     return trace;
@@ -369,7 +451,7 @@ struct Search {
                          static_cast<double>(frontier_refs.size()));
         session->counter("mc.states", static_cast<double>(store.size()));
       }
-      // Heartbeat slots, refreshed per level while the arenas are
+      // Heartbeat slots, refreshed per level while the records are
       // quiescent (memory_bytes reads every shard's capacities).
       const bool live_progress = obs::progress_enabled();
       if (live_progress) {
@@ -423,19 +505,17 @@ struct Search {
         break;
       }
 
-      // Build the next level's frontier copy (workers have joined; the
-      // arenas are quiescent, so cross-shard reads are safe here).
-      std::vector<StateRef> next;
+      // The next level's frontier: the workers' new states, concatenated
+      // in worker order.
+      frontier_refs.clear();
+      frontier_words.clear();
       for (WorkerState& ws : worker_state) {
-        next.insert(next.end(), ws.new_refs.begin(), ws.new_refs.end());
-        ws.new_refs.clear();
-      }
-      frontier_refs = std::move(next);
-      frontier_words.resize(frontier_refs.size() * codec.words());
-      for (std::size_t i = 0; i < frontier_refs.size(); ++i) {
-        const std::uint64_t* w = store.state(frontier_refs[i]);
-        std::copy(w, w + codec.words(),
-                  frontier_words.data() + i * codec.words());
+        frontier_refs.insert(frontier_refs.end(), ws.next_refs.begin(),
+                             ws.next_refs.end());
+        frontier_words.insert(frontier_words.end(), ws.next_words.begin(),
+                              ws.next_words.end());
+        ws.next_refs.clear();
+        ws.next_words.clear();
       }
       ++depth;
     }
@@ -444,24 +524,26 @@ struct Search {
     // --- merge worker aggregates (all commutative) ----------------------
     WitnessCandidate unsafe_cand;
     WitnessCandidate dead_cand;
-    std::map<ConflictKey, WitnessCandidate> conflict_cands;
+    std::vector<WitnessCandidate> conflict_cands(conflict_keys.size());
     std::vector<std::uint64_t> fired((net.transition_count() + 63) / 64, 0);
     const std::size_t n_places = net.place_count();
-    std::vector<std::uint64_t> conc;
+    std::vector<std::uint64_t> rows;
+    std::vector<std::uint64_t> multi;
     if (options.compute_concurrency) {
-      conc.assign((n_places * n_places + 63) / 64, 0);
+      rows.assign(n_places * place_words, 0);
+      multi.assign(place_words, 0);
     }
     for (const WorkerState& ws : worker_state) {
       result.bounded = result.bounded && ws.bounded;
       result.can_terminate = result.can_terminate || ws.can_terminate;
+      result.stats.successors += ws.successors;
       for (std::size_t i = 0; i < fired.size(); ++i) fired[i] |= ws.fired[i];
-      if (options.compute_concurrency) {
-        for (std::size_t i = 0; i < conc.size(); ++i) conc[i] |= ws.conc[i];
-      }
+      for (std::size_t i = 0; i < rows.size(); ++i) rows[i] |= ws.rows[i];
+      for (std::size_t i = 0; i < multi.size(); ++i) multi[i] |= ws.multi[i];
       merge_witness(codec, unsafe_cand, ws.unsafe);
       merge_witness(codec, dead_cand, ws.dead);
-      for (const auto& [key, cand] : ws.conflicts) {
-        merge_witness(codec, conflict_cands[key], cand);
+      for (std::size_t slot = 0; slot < conflict_cands.size(); ++slot) {
+        merge_witness(codec, conflict_cands[slot], ws.conflicts[slot]);
       }
     }
 
@@ -479,33 +561,37 @@ struct Search {
         result.deadlock_trace = trace_to(dead_cand.ref);
       }
     }
-    for (const auto& [key, cand] : conflict_cands) {
+    for (std::size_t slot = 0; slot < conflict_cands.size(); ++slot) {
+      const WitnessCandidate& cand = conflict_cands[slot];
+      if (!cand.set) continue;
       if (result.conflicts.size() >= kMaxReportedConflicts) {
         ++result.conflicts_truncated;
         continue;
       }
+      const ConflictKey& key = conflict_keys[slot];
       McConflict conflict;
       conflict.place = PlaceId(key.place);
       conflict.a = TransitionId(key.a);
       conflict.b = TransitionId(key.b);
-      conflict.unguarded = guards != nullptr && (!guards->guarded(key.a) ||
-                                                 !guards->guarded(key.b));
+      conflict.unguarded = !guards->guarded(key.a) || !guards->guarded(key.b);
       conflict.marking = codec.marking(cand.words.data());
       if (options.collect_traces) conflict.trace = trace_to(cand.ref);
       result.conflicts.push_back(std::move(conflict));
     }
 
     for (std::size_t t = 0; t < net.transition_count(); ++t) {
-      if (((fired[t >> 6] >> (t & 63)) & 1U) == 0) {
+      if (!test_bit(fired.data(), t)) {
         result.dead_transitions.push_back(
             TransitionId(static_cast<TransitionId::underlying_type>(t)));
       }
     }
     if (options.compute_concurrency) {
       result.concurrency.assign(n_places * n_places, false);
-      for (std::size_t bit = 0; bit < n_places * n_places; ++bit) {
-        if ((conc[bit >> 6] >> (bit & 63)) & 1U) {
-          result.concurrency[bit] = true;
+      for (std::size_t a = 0; a < n_places; ++a) {
+        const std::uint64_t* row = rows.data() + a * place_words;
+        for (std::size_t b = 0; b < n_places; ++b) {
+          result.concurrency[a * n_places + b] =
+              a == b ? test_bit(multi.data(), a) : test_bit(row, b);
         }
       }
     }
@@ -537,6 +623,10 @@ struct Search {
     result.stats.max_probe_length = store_stats.max_probe_length;
     result.stats.store_bytes = store_stats.bytes;
     result.stats.shard_entries = store_stats.shard_entries;
+    result.stats.same_depth_rediscoveries =
+        store_stats.same_depth_rediscoveries;
+    result.stats.older_rediscoveries = store_stats.older_rediscoveries;
+    result.stats.parent_replacements = store_stats.parent_replacements;
     result.stats.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

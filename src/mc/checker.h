@@ -86,11 +86,20 @@ struct McStats {
   std::size_t max_shard_entries = 0;
   std::size_t max_probe_length = 0;
   /// Resident bytes of the visited store at the end of the run (slot
-  /// tables + hashes + packed-state arenas + trace metadata) — the
-  /// bytes-per-state denominator the 100M-state scaling work tracks.
+  /// tables + records of packed states and trace metadata + the newest
+  /// depth's frontier positions) — the numerator of bytes per state.
   std::size_t store_bytes = 0;
   /// Final entry count per shard (occupancy histogram).
   std::vector<std::size_t> shard_entries;
+  /// The search's work: successors handed to the store, those that found
+  /// their state already stored at their own depth or at a smaller one,
+  /// and same-depth ones that became the state's canonical parent. The
+  /// first three do not depend on the schedule; the replacements depend
+  /// on the order successors arrive in, so they repeat at one thread.
+  std::size_t successors = 0;
+  std::size_t same_depth_rediscoveries = 0;
+  std::size_t older_rediscoveries = 0;
+  std::size_t parent_replacements = 0;
   double seconds = 0.0;
   double states_per_second = 0.0;
 };

@@ -47,6 +47,7 @@ StateCodec::StateCodec(const petri::Net& net, std::uint32_t token_bound,
   std::size_t rounded = 1;
   while (rounded < bits) rounded *= 2;
   bits_per_place_ = rounded;
+  while ((std::size_t{1} << place_shift_) < bits_per_place_) ++place_shift_;
   place_mask_ = (bits_per_place_ == 64)
                     ? ~std::uint64_t{0}
                     : (std::uint64_t{1} << bits_per_place_) - 1;
@@ -83,14 +84,6 @@ petri::Marking StateCodec::marking(const std::uint64_t* w) const {
     }
   }
   return m;
-}
-
-void StateCodec::marked_support(const std::uint64_t* w,
-                                std::uint64_t* out) const {
-  std::fill(out, out + marked_words(), 0);
-  for (std::size_t i = 0; i < place_count_; ++i) {
-    if (tokens(w, i) != 0) out[i >> 6] |= std::uint64_t{1} << (i & 63);
-  }
 }
 
 std::uint64_t StateCodec::hash(const std::uint64_t* w) const {

@@ -15,6 +15,7 @@
 // the configuration in which mc must reproduce petri::explore exactly.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -82,9 +83,25 @@ class StateCodec {
   /// Decodes the marking part.
   [[nodiscard]] petri::Marking marking(const std::uint64_t* w) const;
 
-  /// Writes the marked-place support (bit i set iff place i holds a
-  /// token) into `out`, which must span marked_words() words.
-  void marked_support(const std::uint64_t* w, std::uint64_t* out) const;
+  /// Calls fn(place, tokens) for every place holding a token, in
+  /// ascending place order, skipping empty fields a word at a time.
+  template <typename Fn>
+  void for_each_marked(const std::uint64_t* w, Fn&& fn) const {
+    const std::size_t per_word = 64 >> place_shift_;
+    for (std::size_t word = 0; word < marking_mask_.size(); ++word) {
+      std::uint64_t rest = w[word] & marking_mask_[word];
+      while (rest != 0) {
+        const std::size_t field =
+            static_cast<std::size_t>(std::countr_zero(rest)) >> place_shift_;
+        const std::size_t shift = field << place_shift_;
+        fn(word * per_word + field,
+           static_cast<std::uint32_t>((rest >> shift) & place_mask_));
+        rest &= ~(place_mask_ << shift);
+      }
+    }
+  }
+  /// Words of a place bitset (bit i = place i), the layout of
+  /// GuardModel::latch_support.
   [[nodiscard]] std::size_t marked_words() const {
     return (place_count_ + 63) / 64;
   }
@@ -118,6 +135,7 @@ class StateCodec {
   std::size_t place_count_ = 0;
   std::size_t commitment_count_ = 0;
   std::size_t bits_per_place_ = 1;
+  std::size_t place_shift_ = 0;  ///< log2(bits_per_place_)
   std::uint64_t place_mask_ = 1;
   std::uint32_t cap_ = 1;
   std::size_t commit_base_ = 0;  ///< bit offset of the first commitment cell

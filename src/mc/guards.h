@@ -50,8 +50,7 @@ class GuardModel {
   }
 
   /// Latch support of a cell: bit i set iff place i may relatch the
-  /// cell's condition registers. Word layout matches
-  /// StateCodec::marked_support ((place_count + 63) / 64 words).
+  /// cell's condition registers; StateCodec::marked_words() words.
   [[nodiscard]] const std::vector<std::uint64_t>& latch_support(
       std::size_t cell) const {
     return latch_support_[cell];

@@ -1,10 +1,21 @@
 // Sharded open-addressing visited-state store for the parallel BFS.
 //
-// States hash-partition across shards; each shard owns a mutex, an
-// open-addressing slot table (linear probing over 32-bit entry indices),
-// a packed-word arena and a per-entry metadata record (canonical parent
-// pointer + discovering transition + BFS depth) for counterexample-trace
-// reconstruction.
+// States hash-partition across shards. Each shard owns a mutex, a slot
+// table and one record array:
+//   * a slot is one 64-bit word: the entry index + 1 in the low half
+//     (0 = empty) and the low 32 bits of the entry's hash in the high
+//     half. Linear probing starts at hash & mask, so a probe rejects an
+//     entry whose hash differs without leaving the slot's cache line, and
+//     grow() rehashes from the slots alone;
+//   * a record is the entry's packed state words followed by two
+//     metadata words: the parent's StateRef (shard << 32 | index), then
+//     the discovering transition (low half) and the BFS depth (high
+//     half). Records are contiguous, in insertion order.
+// The canonical-parent comparison also needs the stored parent's
+// position in its level's frontier copy. Only entries of the newest depth
+// can still be compared, so each shard keeps those positions for its
+// newest depth only, in a side array it clears when a deeper candidate
+// arrives.
 //
 // Concurrency contract (what makes the level-synchronized search safe):
 //   * Writers hand the store a whole InsertBatch: candidates bound for
@@ -15,14 +26,17 @@
 //     InsertBatch::kCapacity successors (plus once per non-empty outbox
 //     at a chunk's end), and every successor of a level is stored before
 //     the level's workers join. Probing and the parent-improvement
-//     comparison read only that shard's arena/metadata plus
+//     comparison read only that shard's slots and records plus
 //     caller-supplied immutable buffers (the level's frontier copy).
+//   * Within a shard, candidate depths never decrease (the BFS inserts
+//     level by level), which is what lets a shard keep frontier positions
+//     for its newest depth only.
 //   * Shards are cache-line aligned, so workers holding the locks of
 //     neighbouring shards do not write to one line.
 //   * Cross-shard reads (`state()`, `meta()`, the end-of-run passes) are
 //     only performed between levels / after the search joins, when no
-//     writer is active — workers never dereference another shard's arena
-//     while it may grow.
+//     writer is active — workers never dereference another shard's
+//     records while they may grow.
 // Parent improvement keeps, among all same-depth discoverers of a state,
 // the one with the lexicographically least (parent words, transition id)
 // key, which makes every reconstructed trace independent of thread count,
@@ -52,8 +66,10 @@ struct StateRef {
 };
 
 /// Per-state search metadata. `parent_pos` is the parent's position in
-/// the frontier buffer of its level — valid only while that level's
-/// frontier copy is alive; trace reconstruction uses `parent` instead.
+/// the frontier buffer of its level: the store keeps it only while its
+/// entry is of the shard's newest depth, for the comparison it hands to
+/// `better`, and meta() does not return it. Trace reconstruction uses
+/// `parent`.
 struct StateMeta {
   StateRef parent;
   petri::TransitionId via;
@@ -65,11 +81,16 @@ struct StoreStats {
   std::size_t shard_count = 0;
   std::size_t max_shard_entries = 0;
   std::size_t max_probe_length = 0;
-  /// Resident footprint (slot tables + hashes + arenas + metadata).
+  /// Resident footprint (slot tables + records + newest-depth positions).
   std::size_t bytes = 0;
   /// Entry count per shard, shard order — the occupancy histogram the
   /// memory-accounting gauges publish.
   std::vector<std::size_t> shard_entries;
+  /// Candidates that found their state stored at their own depth, at a
+  /// smaller depth, and same-depth ones that replaced the stored parent.
+  std::size_t same_depth_rediscoveries = 0;
+  std::size_t older_rediscoveries = 0;
+  std::size_t parent_replacements = 0;
 };
 
 /// Candidates bound for one shard, in the order they were pushed: packed
@@ -140,6 +161,7 @@ class VisitedStore {
   /// candidate is stored if new; otherwise, when the existing entry was
   /// discovered at the same depth, `better(stored, candidate)` decides
   /// whether the candidate metadata canonically improves the stored one.
+  /// A shard's candidate depths must not decrease from batch to batch.
   /// results[i] receives candidate i's entry handle and whether it was
   /// newly inserted.
   template <typename Better>
@@ -149,10 +171,12 @@ class VisitedStore {
   /// Packed words of a stored state. Safe only while no insert can run
   /// (between levels / after the search).
   [[nodiscard]] const std::uint64_t* state(StateRef ref) const {
-    return shards_[ref.shard].arena.data() + std::size_t{ref.index} * words_;
+    return record(shards_[ref.shard], ref.index);
   }
-  [[nodiscard]] const StateMeta& meta(StateRef ref) const {
-    return shards_[ref.shard].meta[ref.index];
+  /// Parent, transition and depth of a stored state (parent_pos unset).
+  /// Same safety rule as state().
+  [[nodiscard]] StateMeta meta(StateRef ref) const {
+    return unpack(record(shards_[ref.shard], ref.index) + words_);
   }
 
   /// Total entries across shards. Exact only while no insert can run.
@@ -161,9 +185,9 @@ class VisitedStore {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   /// Resident bytes across all shards (vector capacities of the slot
-  /// tables, hash arrays, packed-state arenas and metadata records).
-  /// Safe only while no insert can run — the level-synchronized search
-  /// reads it between levels, like state().
+  /// tables, records and newest-depth positions). Safe only while no
+  /// insert can run — the level-synchronized search reads it between
+  /// levels, like state().
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Invokes fn(ref, words, meta) for every stored entry (single-threaded,
@@ -174,13 +198,35 @@ class VisitedStore {
  private:
   struct alignas(64) Shard {
     std::mutex mu;
-    std::vector<std::uint32_t> slots;  ///< entry index + 1; 0 = empty
-    std::vector<std::uint64_t> hashes;
-    std::vector<std::uint64_t> arena;  ///< entries * words packed states
-    std::vector<StateMeta> meta;
+    std::vector<std::uint64_t> slots;    ///< hash low half << 32 | entry + 1
+    std::vector<std::uint64_t> records;  ///< count records of stride_ words
+    /// parent_pos of entries [newest_begin, count), all at newest_depth.
+    std::vector<std::uint32_t> newest_parent_pos;
+    std::size_t newest_begin = 0;
+    std::uint32_t newest_depth = 0;
     std::size_t count = 0;
     std::size_t max_probe = 0;
+    std::size_t same_depth = 0;
+    std::size_t older = 0;
+    std::size_t replaced = 0;
   };
+
+  [[nodiscard]] const std::uint64_t* record(const Shard& shard,
+                                            std::size_t entry) const {
+    return shard.records.data() + entry * stride_;
+  }
+  static void pack(const StateMeta& meta, std::uint64_t* out) {
+    out[0] = std::uint64_t{meta.parent.shard} << 32 | meta.parent.index;
+    out[1] = std::uint64_t{meta.depth} << 32 | meta.via.value();
+  }
+  static StateMeta unpack(const std::uint64_t* in) {
+    StateMeta meta;
+    meta.parent = {static_cast<std::uint32_t>(in[0] >> 32),
+                   static_cast<std::uint32_t>(in[0])};
+    meta.via = petri::TransitionId(static_cast<std::uint32_t>(in[1]));
+    meta.depth = static_cast<std::uint32_t>(in[1] >> 32);
+    return meta;
+  }
 
   /// One candidate of insert_or_improve; the caller holds `shard.mu`.
   template <typename Better>
@@ -191,6 +237,7 @@ class VisitedStore {
 
   const StateCodec* codec_;
   std::size_t words_;
+  std::size_t stride_;  ///< words per record: packed state + 2 metadata
   std::uint32_t shard_shift_;  ///< top bits of the hash select the shard
   std::vector<Shard> shards_;
 };
@@ -223,18 +270,37 @@ InsertResult VisitedStore::insert_locked(Shard& shard,
                                          std::uint64_t hash,
                                          const StateMeta& meta,
                                          Better& better) {
+  if (meta.depth != shard.newest_depth) {
+    assert(meta.depth > shard.newest_depth);
+    shard.newest_depth = meta.depth;
+    shard.newest_begin = shard.count;
+    shard.newest_parent_pos.clear();
+  }
   if ((shard.count + 1) * 10 > shard.slots.size() * 7) grow(shard);
   const std::size_t mask = shard.slots.size() - 1;
+  const std::uint64_t tag = hash << 32;
   std::size_t pos = hash & mask;
   std::size_t probe = 1;
-  while (shard.slots[pos] != 0) {
-    const std::uint32_t entry = shard.slots[pos] - 1;
-    if (shard.hashes[entry] == hash &&
-        codec_->equal(words,
-                      shard.arena.data() + std::size_t{entry} * words_)) {
-      // Canonical-parent improvement among same-depth discoverers.
-      StateMeta& stored = shard.meta[entry];
-      if (stored.depth == meta.depth && better(stored, meta)) stored = meta;
+  for (std::uint64_t slot = shard.slots[pos]; slot != 0;
+       slot = shard.slots[pos]) {
+    const auto entry = static_cast<std::uint32_t>(slot - 1);
+    std::uint64_t* rec = shard.records.data() + std::size_t{entry} * stride_;
+    if ((slot ^ tag) >> 32 == 0 && codec_->equal(words, rec)) {
+      StateMeta stored = unpack(rec + words_);
+      if (stored.depth != meta.depth) {
+        ++shard.older;
+      } else {
+        // Canonical-parent improvement among same-depth discoverers.
+        ++shard.same_depth;
+        std::uint32_t& stored_pos =
+            shard.newest_parent_pos[entry - shard.newest_begin];
+        stored.parent_pos = stored_pos;
+        if (better(stored, meta)) {
+          pack(meta, rec + words_);
+          stored_pos = meta.parent_pos;
+          ++shard.replaced;
+        }
+      }
       return {{shard_index, entry}, false};
     }
     pos = (pos + 1) & mask;
@@ -243,10 +309,12 @@ InsertResult VisitedStore::insert_locked(Shard& shard,
   shard.max_probe = std::max(shard.max_probe, probe);
 
   const auto entry = static_cast<std::uint32_t>(shard.count);
-  shard.slots[pos] = entry + 1;
-  shard.hashes.push_back(hash);
-  shard.arena.insert(shard.arena.end(), words, words + words_);
-  shard.meta.push_back(meta);
+  shard.slots[pos] = tag | (std::uint64_t{entry} + 1);
+  const std::size_t at = shard.records.size();
+  shard.records.resize(at + stride_);
+  std::copy(words, words + words_, shard.records.data() + at);
+  pack(meta, shard.records.data() + at + words_);
+  shard.newest_parent_pos.push_back(meta.parent_pos);
   ++shard.count;
   return {{shard_index, entry}, true};
 }

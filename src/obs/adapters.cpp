@@ -50,6 +50,13 @@ void publish_mc_stats(MetricsRegistry& registry, const mc::McResult& result,
   registry.add(joined(prefix, "markings"), result.marking_count);
   registry.add(joined(prefix, "depth"), result.depth);
   registry.add(joined(prefix, "conflicts"), result.conflicts.size());
+  registry.add(joined(prefix, "successors"), result.stats.successors);
+  registry.add(joined(prefix, "rediscoveries.same_depth"),
+               result.stats.same_depth_rediscoveries);
+  registry.add(joined(prefix, "rediscoveries.older"),
+               result.stats.older_rediscoveries);
+  registry.add(joined(prefix, "parent_replacements"),
+               result.stats.parent_replacements);
   registry.set(joined(prefix, "states_per_second"),
                result.stats.states_per_second);
   registry.set(joined(prefix, "max_frontier"),

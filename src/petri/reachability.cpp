@@ -2,8 +2,10 @@
 
 #include <deque>
 #include <unordered_set>
+#include <vector>
 
 #include "petri/exec.h"
+#include "util/bitset.h"
 
 namespace camad::petri {
 namespace {
@@ -84,21 +86,28 @@ MarkingSet collect_markings(const Net& net,
 ConcurrencyRelation concurrent_places_bounded(
     const Net& net, const ReachabilityOptions& options) {
   const std::size_t n = net.place_count();
+  // Row a gathers every place marked together with a, one word at a time.
+  // The diagonal is kept apart: a place is concurrent with itself only
+  // when it holds >= 2 tokens, not whenever it is marked.
+  std::vector<DynamicBitset> rows(n, DynamicBitset(n));
+  std::vector<bool> self(n, false);
+  DynamicBitset marked;
   ConcurrencyRelation out;
-  out.concurrent.assign(n * n, false);
   out.exploration = explore_impl(net, options, [&](const Marking& m) {
-    const std::vector<PlaceId> marked = m.marked_places();
-    for (std::size_t a = 0; a < marked.size(); ++a) {
-      for (std::size_t b = a + 1; b < marked.size(); ++b) {
-        out.concurrent[marked[a].index() * n + marked[b].index()] = true;
-        out.concurrent[marked[b].index() * n + marked[a].index()] = true;
+    m.marked_into(marked);
+    marked.for_each([&](std::size_t a) {
+      rows[a] |= marked;
+      if (m.tokens(PlaceId(static_cast<PlaceId::underlying_type>(a))) >= 2) {
+        self[a] = true;
       }
-      // A place marked with >= 2 tokens is concurrent with itself.
-      if (m.tokens(marked[a]) >= 2) {
-        out.concurrent[marked[a].index() * n + marked[a].index()] = true;
-      }
-    }
+    });
   });
+  out.concurrent.assign(n * n, false);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      out.concurrent[a * n + b] = a == b ? self[a] : rows[a].test(b);
+    }
+  }
   return out;
 }
 

@@ -9,7 +9,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "dcf/io.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "semantics/equivalence.h"
@@ -743,11 +742,6 @@ ParetoResult optimize_pareto(const dcf::System& serial,
   }
 
   result.frontier = frontier.points();
-  for (const FrontierPoint& point : result.frontier) {
-    result.frontier_bytes += sizeof(FrontierPoint) +
-                             dcf::save_system(point.master).size() +
-                             dcf::save_system(point.scheduled).size();
-  }
   result.hypervolume =
       (initial.area > 0 && initial.time_ns > 0)
           ? frontier.hypervolume(kHypervolumeRef * initial.area,

@@ -157,10 +157,6 @@ struct ParetoResult {
   std::size_t dedup_hits = 0;   ///< successors skipped by design_hash
   std::size_t generations_run = 0;
   std::size_t verified_points = 0;
-  /// Approximate resident footprint of the returned frontier in bytes
-  /// (serialized size of each point's master + scheduled system plus the
-  /// point struct itself) — the synth.frontier.bytes memory gauge.
-  std::size_t frontier_bytes = 0;
   sim::SimStats sim_stats;
   semantics::AnalysisCacheStats analysis_stats;
   /// The search stopped because ParetoOptions::budget was exhausted; the

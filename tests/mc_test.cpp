@@ -315,7 +315,8 @@ TEST(McStore, BatchInsertEqualsOneAtATime) {
     return meta;
   };
 
-  // A one-shard store's 1,024-slot table grows when its 717th entry
+  // A one-shard store's table starts at 64 slots and doubles past 70%
+  // load, so it grows from 1,024 to 2,048 slots when its 717th entry
   // goes in. The first batches fill it to 700 entries at depth 1.
   std::vector<std::vector<Candidate>> batches;
   for (std::uint64_t first = 0; first < 700;
@@ -470,6 +471,42 @@ TEST(McDeterminism, IdenticalResultAcrossThreadCounts) {
     opt.threads = 8;
     opt.shards = 1;
     EXPECT_TRUE(mc::same_verdicts(one, mc::model_check(sys, opt)));
+  }
+}
+
+// --- work counts ------------------------------------------------------------
+
+// Every successor handed to the store is a new state, a same-depth
+// rediscovery or an older one. Those counts do not depend on the
+// schedule; the canonical-parent replacements do, and repeat at one
+// thread.
+TEST(McWorkCounts, AddUpAndRepeat) {
+  const dcf::System systems[] = {make_gcd(), make_unsafe_fork(),
+                                 make_two_phase_guard(),
+                                 gen::random_system(1234)};
+  for (const dcf::System& sys : systems) {
+    mc::McOptions opt;
+    opt.threads = 1;
+    const mc::McResult one = mc::model_check(sys, opt);
+    ASSERT_TRUE(one.complete) << sys.name();
+    const mc::McStats& s = one.stats;
+    EXPECT_EQ(s.successors, one.state_count - 1 + s.same_depth_rediscoveries +
+                                s.older_rediscoveries)
+        << sys.name();
+    EXPECT_LE(s.parent_replacements, s.same_depth_rediscoveries)
+        << sys.name();
+    EXPECT_EQ(mc::model_check(sys, opt).stats.parent_replacements,
+              s.parent_replacements)
+        << sys.name();
+    for (const std::size_t threads : {2UL, 8UL}) {
+      opt.threads = threads;
+      const mc::McStats many = mc::model_check(sys, opt).stats;
+      EXPECT_EQ(many.successors, s.successors) << sys.name();
+      EXPECT_EQ(many.same_depth_rediscoveries, s.same_depth_rediscoveries)
+          << sys.name();
+      EXPECT_EQ(many.older_rediscoveries, s.older_rediscoveries)
+          << sys.name();
+    }
   }
 }
 

@@ -440,6 +440,23 @@ const char* sim_outcome(const sim::SimResult& r) {
   return "cycle limit";
 }
 
+/// The synth.frontier.bytes gauge: each frontier point's master and
+/// schedule serialized, with a data path the schedule shares with its
+/// master counted once, plus the point structs.
+std::size_t frontier_bytes(const synth::ParetoResult& result) {
+  std::size_t bytes = 0;
+  for (const synth::FrontierPoint& point : result.frontier) {
+    bytes += sizeof(point) + dcf::save_system(point.master).size() +
+             dcf::save_system(point.scheduled).size();
+    if (&point.scheduled.datapath() == &point.master.datapath()) {
+      bytes -=
+          dcf::save_system(point.master.with_control(dcf::ControlNet{}))
+              .size();
+    }
+  }
+  return bytes;
+}
+
 /// `camadc optimize --strategy=pareto`: multi-objective beam search,
 /// prints the frontier table and optionally writes the deterministic
 /// frontier JSON.
@@ -494,7 +511,7 @@ int cmd_synth_pareto(const Args& args, Telemetry& telemetry) {
     telemetry.metrics.add("pareto.frontier_points", result.frontier.size());
     telemetry.metrics.set("pareto.hypervolume", result.hypervolume);
     telemetry.metrics.set("synth.frontier.bytes",
-                          static_cast<double>(result.frontier_bytes));
+                          static_cast<double>(frontier_bytes(result)));
   }
   telemetry.note("engine", result.sim_stats.to_string());
   return telemetry.finish(0);
