@@ -43,6 +43,13 @@ bool ParetoFrontier::dominates(double area, double time_ns) const {
   return false;
 }
 
+FrontierPoint* ParetoFrontier::find(std::uint64_t design_hash) {
+  for (FrontierPoint& p : points_) {
+    if (p.design_hash == design_hash) return &p;
+  }
+  return nullptr;
+}
+
 double ParetoFrontier::hypervolume(double ref_area,
                                    double ref_time_ns) const {
   // points_ is area-ascending, hence time strictly descending: sweep

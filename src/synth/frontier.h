@@ -52,6 +52,12 @@ class ParetoFrontier {
   /// True iff some frontier point weakly dominates (area, time_ns).
   [[nodiscard]] bool dominates(double area, double time_ns) const;
 
+  /// The point whose master hashes to `design_hash`, or null. The Pareto
+  /// search inserts a point on its metrics and sets its master and
+  /// schedule once its generation has decided that the point stays; the
+  /// metrics must not change.
+  [[nodiscard]] FrontierPoint* find(std::uint64_t design_hash);
+
   /// Area of the region the frontier dominates inside
   /// [0, ref_area] x [0, ref_time_ns] (2-D staircase sweep). Points at or
   /// beyond the reference in a coordinate contribute only their clamped

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -268,6 +269,13 @@ constexpr std::size_t kStallGenerations = 2;
 /// re-open merged routes, and a small cap keeps them from dominating the
 /// job list.
 constexpr std::size_t kMaxSplitActions = 8;
+/// A generation with at most this many actions keeps each measured
+/// successor's master and schedule instead of rebuilding the few that
+/// survive: there the rebuilds would be a large share of the work (the
+/// two-generation, beam-2 searches camadd serves took 1.18x as long
+/// without this rule), while 64 kept successors hold about 3 MB even on
+/// ewf (docs/PERF.md, "A generation holds recipes, not designs").
+constexpr std::size_t kKeepSystemsUpTo = 64;
 
 enum class ActionKind : std::uint8_t { kMerge, kSplit, kRegshare, kChain };
 
@@ -283,6 +291,19 @@ struct Action {
   dcf::VertexId split_unit;
   petri::PlaceId split_state;
   std::string detail;  ///< provenance operand, from the parent's names
+};
+
+/// What one action's job leaves behind: the successor's hash and, when
+/// the job measured it, its metrics and plan-cache activity. The systems
+/// themselves are freed in the job unless the generation is small; the
+/// reduction rebuilds the ones it keeps from (parent, action).
+struct Outcome {
+  std::uint64_t hash = 0;
+  bool measured = false;
+  Metrics metrics;
+  sim::SimStats sim_stats;
+  std::shared_ptr<const dcf::System> master;  ///< kept or rebuilt
+  dcf::System scheduled;                      ///< kept, or empty
 };
 
 const char* action_pass_name(ActionKind kind) {
@@ -475,129 +496,104 @@ ParetoResult optimize_pareto(const dcf::System& serial,
                          transform::cached_liveness(*entry.cache);
                        });
 
-    // Phase A — apply + hash every successor in parallel. Cheap relative
-    // to measurement, so dedup (serial, in job order) happens *before*
-    // any schedule is derived or simulated.
-    struct Expansion {
-      std::shared_ptr<const dcf::System> master;
-      std::uint64_t hash = 0;
+    // One job per action: apply it and hash the successor, then derive
+    // and measure it unless an earlier generation explored that hash or
+    // a lower job index of this one claimed it. No lower index can stop
+    // the lowest job of a group of twins, so every successor the serial
+    // dedup below keeps was measured; a higher twin measures only when
+    // it claims the hash first, and the reduction ignores its numbers.
+    // `explored` is only read here: the reduction writes it. A job frees
+    // both systems unless the generation is small enough to keep them.
+    const bool keep_systems = actions.size() <= kKeepSystemsUpTo;
+    std::vector<Outcome> outcomes(actions.size());
+    std::mutex claims_mu;
+    std::unordered_map<std::uint64_t, std::size_t> claims;
+    const auto claim = [&](std::uint64_t hash, std::size_t j) {
+      const std::lock_guard<std::mutex> lock(claims_mu);
+      const auto [it, first] = claims.try_emplace(hash, j);
+      if (!first && it->second < j) return false;
+      it->second = j;
+      return true;
     };
-    std::vector<Expansion> expanded(actions.size());
     sim::parallel_jobs(
         actions.size(), options.eval_threads,
         [&](std::size_t /*worker*/, std::size_t j) {
-          const obs::ObsSpan expand_span("pareto.expand", [&] {
-            return "{\"job\":" + std::to_string(j) + ",\"pass\":\"" +
-                   action_pass_name(actions[j].kind) + "\"}";
+          Outcome& out = outcomes[j];
+          dcf::System next;
+          {
+            const obs::ObsSpan expand_span("pareto.expand", [&] {
+              return "{\"job\":" + std::to_string(j) + ",\"pass\":\"" +
+                     action_pass_name(actions[j].kind) + "\"}";
+            });
+            const BeamEntry& parent = beam[actions[j].parent];
+            next = apply_action(*parent.master, *parent.cache, actions[j]);
+            out.hash = design_hash(next);
+            if (explored.contains(out.hash) || !claim(out.hash, j)) {
+              next = dcf::System();
+              return;
+            }
+          }
+          const obs::ObsSpan measure_span("pareto.measure", [&] {
+            return "{\"job\":" + std::to_string(j) + "}";
           });
-          const BeamEntry& parent = beam[actions[j].parent];
-          dcf::System next =
-              apply_action(*parent.master, *parent.cache, actions[j]);
-          expanded[j].hash = design_hash(next);
-          expanded[j].master =
-              std::make_shared<const dcf::System>(std::move(next));
+          dcf::System scheduled = derive_schedule(next);
+          out.metrics =
+              evaluate(scheduled, lib, options.measure, &out.sim_stats);
+          out.measured = true;
+          if (keep_systems) {
+            out.master = std::make_shared<const dcf::System>(std::move(next));
+            out.scheduled = std::move(scheduled);
+          }
+          next = dcf::System();  // freed inside the span, like `scheduled`
         });
 
-    std::vector<std::size_t> fresh;
+    // Serial reduction in job order: dedup, frontier insertion on the
+    // metrics alone, archive trim and beam selection.
+    struct Survivor {
+      std::size_t job = 0;
+      double area_norm = 0;
+      double time_norm = 0;
+      transform::Provenance provenance;
+    };
+    std::vector<Survivor> survivors;
+    std::vector<std::size_t> added;     // survivors inserted into the frontier
+    std::vector<std::size_t> selected;  // survivors picked for the beam
+    bool inserted_any = false;
     {
       const obs::ObsSpan reduce_span("pareto.reduce");
       for (std::size_t j = 0; j < actions.size(); ++j) {
-        if (!explored.insert(expanded[j].hash).second) {
+        const Outcome& out = outcomes[j];
+        if (!explored.insert(out.hash).second) {
           ++result.dedup_hits;
           continue;
         }
-        fresh.push_back(j);
-      }
-    }
-    if (session != nullptr) {
-      session->counter("pareto.dedup_hits",
-                       static_cast<std::int64_t>(result.dedup_hits));
-    }
-    // Nothing new reachable from this beam: the next generation would
-    // enumerate the identical action set, so the search has converged.
-    if (fresh.empty()) {
-      const obs::ObsSpan release_span("pareto.release");
-      std::vector<Expansion>().swap(expanded);
-      break;
-    }
-
-    // Phase B — derive + measure the surviving successors in parallel.
-    // A job drops its schedule when the frontier as this generation
-    // found it already weakly dominates the point: the reduction below
-    // only adds to the dominated region, so it would reject the point
-    // too, and the schedule is freed on the worker that built it.
-    struct Measured {
-      dcf::System scheduled;
-      Metrics metrics;
-      sim::SimStats sim_stats;
-    };
-    std::vector<Measured> measured(fresh.size());
-    sim::parallel_jobs(
-        fresh.size(), options.eval_threads,
-        [&](std::size_t /*worker*/, std::size_t k) {
-          const obs::ObsSpan measure_span("pareto.measure", [&] {
-            return "{\"job\":" + std::to_string(fresh[k]) + "}";
-          });
-          Measured& m = measured[k];
-          m.scheduled = derive_schedule(*expanded[fresh[k]].master);
-          m.metrics =
-              evaluate(m.scheduled, lib, options.measure, &m.sim_stats);
-          if (frontier.dominates(m.metrics.area, m.metrics.time_ns)) {
-            m.scheduled = dcf::System();
-          }
-        });
-    for (const Measured& m : measured) result.sim_stats += m.sim_stats;
-    result.candidates_evaluated += fresh.size();
-
-    // Serial reduction in job order: frontier insertion + survivor
-    // records for beam selection.
-    bool inserted_any = false;
-    std::vector<BeamEntry> next_beam;
-    {
-      const obs::ObsSpan reduce_span("pareto.reduce");
-      struct Survivor {
-        std::size_t job = 0;
-        double area_norm = 0;
-        double time_norm = 0;
-        transform::Provenance provenance;
-      };
-      std::vector<Survivor> survivors;
-      survivors.reserve(fresh.size());
-      const auto make_child = [&](std::size_t j,
-                                  transform::Provenance provenance) {
+        if (!out.measured) {
+          throw TransformError("pareto job " + std::to_string(j) +
+                               " holds a new design it did not measure");
+        }
+        result.sim_stats += out.sim_stats;
         const Action& action = actions[j];
-        BeamEntry child;
-        child.master = expanded[j].master;
-        child.hash = expanded[j].hash;
-        child.provenance = std::move(provenance);
-        // Carry the parent's declared-preserved analyses into the child's
-        // cache — the Pass framework's successor() protocol, applied per
-        // search edge.
-        child.cache = std::make_shared<const semantics::AnalysisCache>(
-            beam[action.parent].cache->successor(
-                *child.master, action_preserved(action.kind)));
-        cache_registry.emplace_back(child.master, child.cache);
-        return child;
-      };
-      for (std::size_t k = 0; k < fresh.size(); ++k) {
-        const std::size_t j = fresh[k];
-        const Action& action = actions[j];
-        const Metrics& metrics = measured[k].metrics;
         transform::Provenance provenance = beam[action.parent].provenance;
         provenance.push_back({action_pass_name(action.kind), action.detail});
-        // insert() rejects exactly the weakly dominated points, so test
-        // that first and copy the master only for a point that enters.
-        if (!frontier.dominates(metrics.area, metrics.time_ns)) {
-          frontier.insert({*expanded[j].master,
-                           std::move(measured[k].scheduled), metrics,
-                           provenance, expanded[j].hash});
+        // The point's master and schedule are attached below, once the
+        // generation has decided that the point stays.
+        if (frontier.insert({{}, {}, out.metrics, provenance, out.hash})) {
           inserted_any = true;
-          archive[expanded[j].hash] = make_child(j, provenance);
+          added.push_back(survivors.size());
         }
-        survivors.push_back({j, norm(metrics.area, initial.area),
-                             norm(metrics.time_ns, initial.time_ns),
+        survivors.push_back({j, norm(out.metrics.area, initial.area),
+                             norm(out.metrics.time_ns, initial.time_ns),
                              std::move(provenance)});
       }
+      if (session != nullptr) {
+        session->counter("pareto.dedup_hits",
+                         static_cast<std::int64_t>(result.dedup_hits));
+      }
+      // Nothing new reachable from this beam: the next generation would
+      // enumerate the identical action set, so the search has converged.
+      if (survivors.empty()) break;
+      result.candidates_evaluated += survivors.size();
+
       // Drop evicted designs from the archive: only frontier residents
       // earn guaranteed expansion.
       {
@@ -636,7 +632,6 @@ ParetoResult optimize_pareto(const dcf::System& serial,
       // acceptance rule, one per descent direction). Remaining slots fill
       // by non-domination rank with a lexicographic deterministic
       // tie-break (rank, area_norm + time_norm, job index).
-      std::vector<std::size_t> selected;
       const auto already_selected = [&](std::size_t s) {
         return std::find(selected.begin(), selected.end(), s) !=
                selected.end();
@@ -690,18 +685,70 @@ ParetoResult optimize_pareto(const dcf::System& serial,
           selected.push_back(s);
         }
       }
+    }
+
+    // Build what the generation keeps from (parent, action): the master
+    // and schedule of each of its frontier points still on the frontier,
+    // with an archive entry, and the master of each beam pick the archive
+    // does not hold. A rebuilt master must hash as its job's did.
+    std::vector<BeamEntry> next_beam;
+    {
+      const obs::ObsSpan rebuild_span("pareto.rebuild");
+      const auto master_of = [&](std::size_t j) {
+        Outcome& out = outcomes[j];
+        if (out.master == nullptr) {
+          const BeamEntry& parent = beam[actions[j].parent];
+          dcf::System rebuilt =
+              apply_action(*parent.master, *parent.cache, actions[j]);
+          const std::uint64_t hash = design_hash(rebuilt);
+          if (hash != out.hash) {
+            throw TransformError(
+                std::string("pareto rebuild of a ") +
+                action_pass_name(actions[j].kind) + " successor (" +
+                actions[j].detail + ") hashes " + hash_hex(hash) +
+                ", its job hashed " + hash_hex(out.hash));
+          }
+          out.master = std::make_shared<const dcf::System>(std::move(rebuilt));
+          ++result.rebuilds;
+        }
+        return out.master;
+      };
+      const auto make_child = [&](const Survivor& survivor) {
+        const Action& action = actions[survivor.job];
+        BeamEntry child;
+        child.master = master_of(survivor.job);
+        child.hash = outcomes[survivor.job].hash;
+        child.provenance = survivor.provenance;
+        // Carry the parent's declared-preserved analyses into the child's
+        // cache — the Pass framework's successor() protocol, applied per
+        // search edge.
+        child.cache = std::make_shared<const semantics::AnalysisCache>(
+            beam[action.parent].cache->successor(
+                *child.master, action_preserved(action.kind)));
+        cache_registry.emplace_back(child.master, child.cache);
+        return child;
+      };
+      for (const std::size_t s : added) {
+        Outcome& out = outcomes[survivors[s].job];
+        FrontierPoint* point = frontier.find(out.hash);
+        if (point == nullptr) continue;  // evicted later in the generation
+        BeamEntry child = make_child(survivors[s]);
+        point->master = *child.master;
+        point->scheduled = keep_systems ? std::move(out.scheduled)
+                                        : derive_schedule(*child.master);
+        archive[out.hash] = std::move(child);
+      }
 
       next_beam.reserve(selected.size() + archive.size());
       std::unordered_set<std::uint64_t> in_next;
       for (const std::size_t s : selected) {
-        const std::size_t j = survivors[s].job;
-        if (!in_next.insert(expanded[j].hash).second) continue;
+        const std::uint64_t hash = outcomes[survivors[s].job].hash;
+        if (!in_next.insert(hash).second) continue;
         // Frontier-inserted survivors already have an archive entry (and
         // cache) — alias it rather than building a second one.
-        const auto it = archive.find(expanded[j].hash);
-        next_beam.push_back(it != archive.end()
-                                ? it->second
-                                : make_child(j, survivors[s].provenance));
+        const auto it = archive.find(hash);
+        next_beam.push_back(it != archive.end() ? it->second
+                                                : make_child(survivors[s]));
       }
       // Archive elitism: append every frontier resident the λ-slots did
       // not pick. Already-expanded residents are skipped at enumeration,
@@ -712,15 +759,6 @@ ParetoResult optimize_pareto(const dcf::System& serial,
         if (!in_next.insert(p.design_hash).second) continue;
         next_beam.push_back(it->second);
       }
-    }
-    {
-      // The successors and schedules that no beam entry or frontier
-      // point kept, and the buffers too: returning the first large block
-      // makes the allocator consolidate the chunks these frees left, a
-      // cost that would otherwise land in whatever span runs next.
-      const obs::ObsSpan release_span("pareto.release");
-      std::vector<Expansion>().swap(expanded);
-      std::vector<Measured>().swap(measured);
     }
 
     beam = std::move(next_beam);

@@ -121,11 +121,11 @@ struct ParetoOptions {
   /// triggers only at convergence).
   std::size_t generations = 64;
   MeasureOptions measure;
-  /// Worker threads for expansion/measurement fan-out (0 = hardware).
+  /// Worker threads for the expand-and-measure jobs (0 = hardware).
   /// The frontier is byte-identical at any count: jobs are enumerated in
   /// a fixed total order, workers only fill indexed slots, and every
   /// dedup / insertion / selection decision happens serially in job
-  /// order (the PR 3 argmin discipline, generalized).
+  /// order (the greedy sweep's argmin discipline, generalized).
   std::size_t eval_threads = 0;
   /// Check every reported frontier point equivalent to the seed via the
   /// Def 4.1 differential oracle; a failure throws TransformError naming
@@ -155,6 +155,10 @@ struct ParetoResult {
   double hypervolume = 0;
   std::size_t candidates_evaluated = 0;  ///< measured schedules
   std::size_t dedup_hits = 0;   ///< successors skipped by design_hash
+  /// Successor masters rebuilt from (parent, action) after their
+  /// generation decided to keep them (a generation frees what it
+  /// measures; small ones keep their systems instead).
+  std::size_t rebuilds = 0;
   std::size_t generations_run = 0;
   std::size_t verified_points = 0;
   sim::SimStats sim_stats;

@@ -9,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dcf/builder.h"
 #include "dcf/system.h"
 #include "fixtures.h"
+#include "gen/lift.h"
 #include "gen/sysgen.h"
 #include "semantics/analysis.h"
 #include "semantics/equivalence.h"
@@ -485,6 +489,71 @@ TEST_P(ParetoThreadInvariance, FrontierJsonIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ParetoThreadInvariance,
                          ::testing::Range<std::uint64_t>(0, 20));
+
+// The search's work, pinned per design at every thread count: the
+// successors it measured, those it skipped as explored, and what the
+// measurements cost the simulator. A twin measured and counted twice, an
+// explored design measured again or a lost measurement moves one of
+// these numbers; the frontier goldens see none of them. The searches run
+// camadc's measurement for two generations, without frontier
+// verification: ewf's second generation alone has 2,084 actions.
+struct WorkPin {
+  const char* design;  ///< designs/<design>.bdl
+  std::size_t candidates_evaluated;
+  std::size_t dedup_hits;
+  std::uint64_t plan_cache_hits;
+  std::uint64_t plan_cache_misses;
+  std::uint64_t steps_evaluated;
+};
+
+constexpr WorkPin kWorkPins[] = {
+    {"diffeq", 32, 11, 582, 387, 11207},
+    {"ewf", 2349, 42, 60851, 60851, 1462166},
+    {"fir8", 246, 17, 41532, 3156, 402260},
+    {"gcd", 7, 10, 301, 49, 2569},
+    {"parlab", 3, 10, 15, 15, 300},
+    {"sumsq", 7, 5, 263, 39, 2514},
+    {"traffic", 253, 24, 48375, 4221, 347155},
+};
+
+// One ctest per design and thread count, so ewf's searches under the
+// sanitizers stay inside the per-test timeout.
+class ParetoWorkPins
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+TEST_P(ParetoWorkPins, SearchWorkMatchesPin) {
+  const auto [index, threads] = GetParam();
+  const WorkPin& pin = kWorkPins[index];
+  std::ifstream in(std::filesystem::path(CAMAD_DESIGNS_DIR) /
+                   (std::string(pin.design) + ".bdl"));
+  ASSERT_TRUE(in) << pin.design;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const ModuleLibrary lib = ModuleLibrary::standard();
+  ParetoOptions options;
+  options.measure.environments = 2;
+  options.generations = 2;
+  options.verify_frontier = false;
+  options.eval_threads = threads;
+  const ParetoResult result = optimize_pareto(
+      gen::parse_design_text(text, pin.design), lib, options);
+  EXPECT_EQ(result.candidates_evaluated, pin.candidates_evaluated);
+  EXPECT_EQ(result.dedup_hits, pin.dedup_hits);
+  EXPECT_EQ(result.sim_stats.plan_cache_hits, pin.plan_cache_hits);
+  EXPECT_EQ(result.sim_stats.plan_cache_misses, pin.plan_cache_misses);
+  EXPECT_EQ(result.sim_stats.steps_evaluated, pin.steps_evaluated);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, ParetoWorkPins,
+    ::testing::Combine(
+        ::testing::Range<std::size_t>(0, std::size(kWorkPins)),
+        ::testing::Values<std::size_t>(1, 2, 4, 8)),
+    [](const ::testing::TestParamInfo<ParetoWorkPins::ParamType>& info) {
+      return std::string(kWorkPins[std::get<0>(info.param)].design) + "_" +
+             std::to_string(std::get<1>(info.param)) + "threads";
+    });
 
 // --- provenance recording ----------------------------------------------------
 

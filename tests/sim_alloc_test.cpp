@@ -1,6 +1,7 @@
-// Heap allocations of a warm simulator run and of System copies, counted
-// by a replacement global operator new. The replacement applies to the
-// whole executable, which is why this test is a binary of its own.
+// Heap allocations of a warm simulator run and of System copies, and
+// the live heap of a Pareto search, counted by a replacement global
+// operator new. The replacement applies to the whole executable, which
+// is why this test is a binary of its own.
 //
 // The pin: a default run (no per-cycle records) allocates O(events), not
 // O(cycles). gcd with a = 1 and b = 10^9 subtracts one per loop
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <utility>
@@ -17,25 +19,50 @@
 #include "sim/simulator.h"
 #include "synth/compile.h"
 #include "synth/designs.h"
+#include "synth/library.h"
+#include "synth/optimizer.h"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+// Bytes allocated and not yet freed, and the most they reached since a
+// test last reset the peak. Each block carries its size in a header of
+// one max_align_t, so an unsized delete can subtract it.
+std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_live_bytes{0};
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  void* block = std::malloc(kHeader + size);
+  if (block == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(block) = size;
+  const std::size_t live =
+      g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+  std::size_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return static_cast<char*>(block) + kHeader;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  void* block = static_cast<char*>(p) - kHeader;
+  g_live_bytes.fetch_sub(*static_cast<std::size_t*>(block),
+                         std::memory_order_relaxed);
+  std::free(block);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace camad::sim {
 namespace {
 
 constexpr std::uint64_t kCycles = 100000;
+/// Bound on the live heap of ParetoHeap's search: six times what it
+/// needs, a sixth of what a search holding whole generations needs.
+constexpr std::size_t kMaxParetoLiveBytes = std::size_t{16} << 20;
 
 struct CountedRun {
   SimResult result;
@@ -93,6 +120,32 @@ TEST(SystemAllocations, EmptyCopiedAndMovedSystemsAllocateNothing) {
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(&moved.datapath(), &sys.datapath());
   EXPECT_EQ(empty.datapath().vertex_count(), 0u);
+}
+
+// A Pareto generation holds each successor only while its job builds
+// and measures it, then keeps what the frontier and the beam keep. So
+// the live heap of a search is its in-flight jobs plus the frontier,
+// beam and archive, whatever the generation's width. ewf's second
+// generation builds 2,084 successor masters (about 37 KB of heap each)
+// and measures 2,043 of them (about 12 KB per schedule): holding the
+// whole generation until its reduction peaked at 100.8 MB, and holding
+// only what stays peaks at about 2.5 MB.
+TEST(ParetoHeap, PeakLiveHeapDoesNotGrowWithGenerationWidth) {
+  const dcf::System serial = synth::compile_source(synth::ewf_source());
+  const synth::ModuleLibrary lib = synth::ModuleLibrary::standard();
+  synth::ParetoOptions options;
+  options.measure.environments = 2;
+  options.generations = 2;
+  options.eval_threads = 1;
+  options.verify_frontier = false;
+  const std::size_t before = g_live_bytes.load();
+  g_peak_live_bytes.store(before);
+  const synth::ParetoResult result =
+      synth::optimize_pareto(serial, lib, options);
+  const std::size_t peak = g_peak_live_bytes.load() - before;
+  EXPECT_EQ(result.generations_run, 2u);
+  EXPECT_GT(result.candidates_evaluated, 2000u);
+  EXPECT_LT(peak, kMaxParetoLiveBytes) << "peak live heap " << peak;
 }
 
 }  // namespace

@@ -508,6 +508,7 @@ int cmd_synth_pareto(const Args& args, Telemetry& telemetry) {
     telemetry.metrics.add("pareto.candidates_evaluated",
                           result.candidates_evaluated);
     telemetry.metrics.add("pareto.dedup_hits", result.dedup_hits);
+    telemetry.metrics.add("pareto.rebuilds", result.rebuilds);
     telemetry.metrics.add("pareto.frontier_points", result.frontier.size());
     telemetry.metrics.set("pareto.hypervolume", result.hypervolume);
     telemetry.metrics.set("synth.frontier.bytes",
